@@ -5,7 +5,6 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/overload"
-	"mspastry/internal/peer"
 )
 
 // Per-peer circuit breakers and retry budgets (overload protection).
@@ -124,12 +123,6 @@ func (n *Node) retryAllowed(ref NodeRef) bool {
 	return true
 }
 
-// inRoutingState reports whether the peer can currently be chosen as a
-// next hop: it is in the leaf set or the routing table.
-func (n *Node) inRoutingState(x id.ID) bool {
-	return n.ls.Contains(x) || n.rt.Contains(x)
-}
-
 // distrust feeds a peer confirmed bad by the secure-routing vote (its
 // root claim lost to a strictly closer accepted root) into the routing-
 // exclusion machinery: the peer is excluded from next-hop selection and
@@ -180,10 +173,10 @@ type BreakerSummary struct {
 // Breakers returns a snapshot of breaker states for status reporting.
 func (n *Node) Breakers() BreakerSummary {
 	var s BreakerSummary
-	n.peers.Each(func(rec *peer.Record) {
-		st, _ := rec.Get(n.slotOverload).(*overloadState)
-		if st == nil || st.breaker == nil {
-			return
+	for _, rec := range n.peers.Holders(n.slotOverload) {
+		st := rec.Get(n.slotOverload).(*overloadState)
+		if st.breaker == nil {
+			continue
 		}
 		switch st.breaker.State() {
 		case overload.BreakerOpen:
@@ -193,7 +186,7 @@ func (n *Node) Breakers() BreakerSummary {
 		default:
 			s.Tripping++
 		}
-	})
+	}
 	return s
 }
 

@@ -59,7 +59,7 @@ func (n *Node) scheduleJoinRetry() {
 		if ps.timer != nil {
 			ps.timer.Cancel()
 		}
-		delete(n.probing, x)
+		n.endProbe(x)
 	}
 	for x := range n.failed {
 		delete(n.failed, x)

@@ -26,6 +26,9 @@ type LeafSet struct {
 	// stale; rebuilds always allocate a fresh slice so previously returned
 	// snapshots stay immutable.
 	members []NodeRef
+	// idx, when set, is told about every membership change (see
+	// routingIndex); standalone leaf sets leave it nil.
+	idx *routingIndex
 }
 
 // NewLeafSet creates an empty leaf set for a node with the given id and
@@ -43,6 +46,7 @@ func (ls *LeafSet) Add(ref NodeRef) bool {
 	if ref.ID == ls.self || ref.IsZero() {
 		return false
 	}
+	old := ls.indexed()
 	changed := insertSorted(&ls.right, ref, ls.half, func(a, b NodeRef) bool {
 		return ls.self.Clockwise(a.ID).Cmp(ls.self.Clockwise(b.ID)) < 0
 	})
@@ -52,7 +56,7 @@ func (ls *LeafSet) Add(ref NodeRef) bool {
 		changed = true
 	}
 	if changed {
-		ls.members = nil
+		ls.reindex(old)
 	}
 	return changed
 }
@@ -86,14 +90,33 @@ func insertSorted(side *[]NodeRef, ref NodeRef, capn int, less func(a, b NodeRef
 
 // Remove deletes a node from both sides and reports whether it was present.
 func (ls *LeafSet) Remove(x id.ID) bool {
+	old := ls.indexed()
 	removed := removeID(&ls.left, x)
 	if removeID(&ls.right, x) {
 		removed = true
 	}
 	if removed {
-		ls.members = nil
+		ls.reindex(old)
 	}
 	return removed
+}
+
+// indexed returns the membership snapshot a mutation diffs against: the
+// current Members() when an index is attached, nil otherwise.
+func (ls *LeafSet) indexed() []NodeRef {
+	if ls.idx == nil {
+		return nil
+	}
+	return ls.Members()
+}
+
+// reindex invalidates the member cache after a mutation and reports the
+// change from old to the index.
+func (ls *LeafSet) reindex(old []NodeRef) {
+	ls.members = nil
+	if ls.idx != nil {
+		ls.idx.leafChanged(old, ls.Members())
+	}
 }
 
 func removeID(side *[]NodeRef, x id.ID) bool {

@@ -47,6 +47,10 @@ type Node struct {
 	slotGrave    peer.Slot
 	slotRTT      peer.Slot
 
+	// idx is the routing-state membership index the leaf set and routing
+	// table keep current (see peers.go).
+	idx routingIndex
+
 	// probing tracks outstanding liveness probes (leaf-set and routing
 	// table); failed holds nodes marked faulty; excluded holds nodes
 	// temporarily routed around after a missed per-hop ack.
@@ -72,6 +76,10 @@ type Node struct {
 	failureHist []time.Duration
 	trtLocal    time.Duration
 	trtCurrent  time.Duration
+	// trtVals and nearBuf are reused scratch buffers for retune and
+	// nearestKnown.
+	trtVals []time.Duration
+	nearBuf []NodeRef
 
 	// Distance measurement sessions, keyed by target.
 	distSessions map[id.ID]*distSession

@@ -7,6 +7,7 @@ import (
 
 	"mspastry/internal/eventsim"
 	"mspastry/internal/id"
+	"mspastry/internal/peer"
 )
 
 // benchNode builds a node with a realistic amount of routing state.
@@ -36,6 +37,73 @@ func benchNode(b *testing.B, peers int) (*testNet, *Node, []NodeRef) {
 		n.ls.Add(ref)
 	}
 	return net, n, refs
+}
+
+// tickNode builds an active node in the shape the maintenance tick sees
+// in a steady overlay: a full leaf set, 40 routing-table entries (every
+// member advertising a Trt hint) and 200 stranger records, at a fixed
+// clock reading. Two warm-up ticks start every member's probing clock
+// and heartbeat the left neighbour, so further ticks at the same clock
+// send nothing.
+func tickNode(tb testing.TB) *Node {
+	tb.Helper()
+	net := &testNet{
+		sim:   eventsim.New(1),
+		nodes: make(map[string]*Node),
+		delay: time.Millisecond,
+		sent:  make(map[Category]int),
+	}
+	net.sim.RunUntil(time.Hour)
+	rng := rand.New(rand.NewSource(8))
+	self := NodeRef{ID: id.Random(rng), Addr: "b0"}
+	n, err := NewNode(self, DefaultConfig(), &testEnv{net: net, addr: "b0", self: self}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.nodes["b0"] = n
+	n.Bootstrap()
+	now := n.env.Now()
+	peerRef := func(x id.ID) NodeRef { return NodeRef{ID: x, Addr: x.String()[:12]} }
+	// Leaf members: evenly spaced close to self on both sides.
+	step := id.New(0, 1<<40)
+	off := step
+	for n.ls.Size() < n.cfg.L {
+		n.ls.Add(peerRef(self.ID.Add(off)))
+		n.ls.Add(peerRef(self.ID.Sub(off)))
+		off = off.Add(step)
+	}
+	// Table entries: random identifiers sharing ever longer prefixes
+	// with self, so several rows fill.
+	for shift := uint(60); n.rt.Count() < 40; shift -= 4 {
+		for i := 0; i < 8; i++ {
+			x := id.Random(rng)
+			x.Hi = self.ID.Hi>>shift<<shift | x.Hi&(1<<shift-1)
+			n.rt.Add(peerRef(x))
+		}
+	}
+	n.eachInRoutingState(func(ref NodeRef, rec *peer.Record) {
+		rec.LastRecv = now
+		n.setTrtHint(rec, time.Duration(30+rng.Intn(60))*time.Second)
+	})
+	for i := 0; i < 200; i++ {
+		n.peers.Obtain(id.Random(rng), "stranger", now)
+	}
+	n.onTick()
+	n.onTick()
+	return n
+}
+
+// BenchmarkNodeTick measures one maintenance tick on a populated node
+// when no peer is due for a probe: the fixed per-tick cost of
+// heartbeat checks, the routing-table scan, self-tuning and the
+// registry sweep.
+func BenchmarkNodeTick(b *testing.B) {
+	n := tickNode(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.onTick()
+	}
 }
 
 func BenchmarkNodeNextHop(b *testing.B) {

@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"slices"
 	"time"
 
 	"mspastry/internal/id"
@@ -43,7 +44,8 @@ type overloadState struct {
 	budget  *overload.TokenBucket
 }
 
-// initPeers creates the registry and registers the component slots.
+// initPeers creates the registry, registers the component slots and
+// attaches the routing-state index to the leaf set and routing table.
 // Registration order is pruning order within a record (immaterial here:
 // no pruner reads another slot).
 func (n *Node) initPeers() {
@@ -51,39 +53,119 @@ func (n *Node) initPeers() {
 		StrangerTTL: n.cfg.PeerStrangerTTL,
 		AdmittedTTL: n.cfg.PeerAdmittedTTL,
 	})
-	n.slotHint = n.peers.NewSlot("trt-hint", n.pruneHint)
+	n.slotHint = n.peers.NewSlot("trt-hint", pruneHint)
 	n.slotSuppress = n.peers.NewSlot("suppress", n.pruneSuppress)
-	n.slotOverload = n.peers.NewSlot("overload", n.pruneOverload)
+	n.slotOverload = n.peers.NewSlot("overload", pruneOverload)
 	n.slotGrave = n.peers.NewSlot("graveyard", pruneKeep)
 	n.slotRTT = n.peers.NewRetainedSlot("rtt")
+	n.idx = routingIndex{peers: n.peers, env: n.env, addrRefs: make(map[string]int)}
+	n.ls.idx, n.rt.idx = &n.idx, &n.idx
+}
+
+// routingIndex is the node's routing-state membership index. The leaf
+// set and routing table call it from their mutators at the moment they
+// admit or drop a peer, so per-tick consumers read membership instead of
+// rebuilding it. It keeps three things in step with the two structures:
+//
+//   - the InLeafSet and InTable bits on each member's peer record (the
+//     record is created on admission if the peer has none; the registry
+//     never evicts a record while a bit is set);
+//   - addrRefs, the number of leaf-set and table entries carrying each
+//     transport address. The failure-rate estimator counts monitored
+//     nodes by address, and an address can be reused by a fresh
+//     identifier (a churned node restarting), so counting identifiers
+//     would count one monitored endpoint twice;
+//   - leafRecs, the records of the leaf set's Members(), index-aligned
+//     (spare is the buffer the next realignment fills).
+type routingIndex struct {
+	peers    *peer.Registry
+	env      Env
+	addrRefs map[string]int
+	leafRecs []*peer.Record
+	spare    []*peer.Record
+}
+
+// admit marks ref as held by the structure m and returns its record.
+// An existing record is neither touched nor re-addressed: admission is
+// not contact.
+func (ix *routingIndex) admit(ref NodeRef, m peer.Membership) *peer.Record {
+	rec := ix.peers.Lookup(ref.ID)
+	if rec == nil {
+		rec = ix.peers.Obtain(ref.ID, ref.Addr, ix.env.Now())
+	}
+	rec.SetMembership(m, true)
+	ix.addrRefs[ref.Addr]++
+	return rec
+}
+
+// drop clears the structure m's hold on ref, whose record is rec.
+func (ix *routingIndex) drop(ref NodeRef, rec *peer.Record, m peer.Membership) {
+	rec.SetMembership(m, false)
+	if ix.addrRefs[ref.Addr]--; ix.addrRefs[ref.Addr] == 0 {
+		delete(ix.addrRefs, ref.Addr)
+	}
+}
+
+// leafChanged applies a leaf-set mutation, given Members() before (old)
+// and after (cur): entries that left — including the farthest member an
+// overflowing Add pushed out — are dropped before entries that arrived
+// are admitted, and leafRecs is realigned with cur. Entries compare by
+// identifier and address, so a member whose entry changed address moves
+// between address counts.
+func (ix *routingIndex) leafChanged(old, cur []NodeRef) {
+	for i, o := range old {
+		if !slices.Contains(cur, o) {
+			ix.drop(o, ix.leafRecs[i], peer.InLeafSet)
+		}
+	}
+	recs := ix.spare[:0]
+	for _, c := range cur {
+		if i := slices.Index(old, c); i >= 0 {
+			recs = append(recs, ix.leafRecs[i])
+		} else {
+			recs = append(recs, ix.admit(c, peer.InLeafSet))
+		}
+	}
+	ix.leafRecs, ix.spare = recs, ix.leafRecs
+}
+
+// eachInRoutingState visits every peer in routing state exactly once,
+// with its record: the occupied routing-table slots in row-major order,
+// then the leaf-set members not in the table in Members() order. fn must
+// not change the leaf set or routing table.
+func (n *Node) eachInRoutingState(fn func(ref NodeRef, rec *peer.Record)) {
+	for _, o := range n.rt.occ {
+		fn(n.rt.entry(o).ref, o.rec)
+	}
+	for i, m := range n.ls.Members() {
+		if rec := n.idx.leafRecs[i]; !rec.Has(peer.InTable) {
+			fn(m, rec)
+		}
+	}
 }
 
 // sweepPeers runs the registry's prune pass; called once per maintenance
 // tick. Membership for lifecycle purposes is the full routing state plus
 // peers under an outstanding probe (a probe target must not be evicted
-// mid-probe).
+// mid-probe), as recorded on each record.
 func (n *Node) sweepPeers() {
-	n.peers.Sweep(n.env.Now(), n.peerIsMember)
+	n.peers.Sweep(n.env.Now())
 }
 
 // PeerMember reports whether x currently counts as routing-state
 // membership for the registry lifecycle: leaf set, routing table, or an
 // outstanding probe. Exposed for the cross-layer leak detector.
-func (n *Node) PeerMember(x id.ID) bool { return n.peerIsMember(x) }
-
-func (n *Node) peerIsMember(x id.ID) bool {
-	if _, ok := n.probing[x]; ok {
-		return true
-	}
-	return n.inRoutingState(x)
+func (n *Node) PeerMember(x id.ID) bool {
+	rec := n.peers.Lookup(x)
+	return rec != nil && rec.Member()
 }
 
 // pruneHint drops self-tuning hints from peers no longer in the leaf set
 // or routing table, so the median reflects live peers. Deliberately
-// narrower than peerIsMember: a peer under probe but out of routing
-// state must not keep voting.
-func (n *Node) pruneHint(x id.ID, v any, _ time.Duration, _ bool) any {
-	if !n.inRoutingState(x) {
+// narrower than registry membership: a peer under probe but out of
+// routing state must not keep voting.
+func pruneHint(rec *peer.Record, v any, _ time.Duration) any {
+	if !rec.InRoutingState() {
 		return nil
 	}
 	return v
@@ -92,7 +174,7 @@ func (n *Node) pruneHint(x id.ID, v any, _ time.Duration, _ bool) any {
 // pruneSuppress expires each suppression timestamp at twice its pacing
 // window — after that a re-probe would be due anyway, so the memory
 // carries no information.
-func (n *Node) pruneSuppress(_ id.ID, v any, now time.Duration, _ bool) any {
+func (n *Node) pruneSuppress(_ *peer.Record, v any, now time.Duration) any {
 	s := v.(*suppressState)
 	if s.distProbed != 0 && now-s.distProbed > 2*n.cfg.RTMaintenance {
 		s.distProbed = 0
@@ -115,13 +197,13 @@ func (n *Node) pruneSuppress(_ id.ID, v any, now time.Duration, _ bool) any {
 // traffic has tried for a full maximum cooldown carry no information.
 // State for peers outside the leaf set and routing table goes too —
 // routing only ever picks next hops from those two structures.
-func (n *Node) pruneOverload(x id.ID, v any, now time.Duration, _ bool) any {
+func pruneOverload(rec *peer.Record, v any, now time.Duration) any {
 	st := v.(*overloadState)
-	if st.budget != nil && (st.budget.Full(now) || !n.inRoutingState(x)) {
+	if st.budget != nil && (st.budget.Full(now) || !rec.InRoutingState()) {
 		st.budget = nil
 	}
 	if b := st.breaker; b != nil &&
-		((b.State() == overload.BreakerClosed && b.Failures() == 0) || b.Stale(now) || !n.inRoutingState(x)) {
+		((b.State() == overload.BreakerClosed && b.Failures() == 0) || b.Stale(now) || !rec.InRoutingState()) {
 		st.breaker = nil
 	}
 	if st.budget == nil && st.breaker == nil {
@@ -132,7 +214,7 @@ func (n *Node) pruneOverload(x id.ID, v any, now time.Duration, _ bool) any {
 
 // pruneKeep retains the slot value until it is cleared explicitly — the
 // reconnect graveyard manages its own expiry (retryReconnect).
-func pruneKeep(_ id.ID, v any, _ time.Duration, _ bool) any { return v }
+func pruneKeep(_ *peer.Record, v any, _ time.Duration) any { return v }
 
 // setTrtHint records the peer's advertised probing period.
 func (n *Node) setTrtHint(rec *peer.Record, d time.Duration) {

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/peer"
 )
 
-// probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
-// probei: no-op if the node is already being probed with a leaf probe or
-// has been marked faulty.
+// probeCauseHook, when set, is told the cause of every probe started
+// (tests attribute probe traffic with it).
 var probeCauseHook func(cause string)
 
 func noteProbeCause(cause string) {
@@ -18,6 +18,9 @@ func noteProbeCause(cause string) {
 	}
 }
 
+// probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
+// probei: no-op if the node is already being probed with a leaf probe or
+// has been marked faulty.
 func (n *Node) probeLeaf(ref NodeRef) { n.probeLeafAnnounce(ref, false) }
 
 // probeLeafAnnounce starts a leaf probe; announce marks it as first-hand
@@ -41,10 +44,7 @@ func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
 		}
 		return
 	}
-	ps := &probeState{ref: ref, isLeaf: true, announce: announce}
-	n.probing[ref.ID] = ps
-	n.sendProbeMsg(ps)
-	n.armProbeTimer(ps)
+	n.startProbe(&probeState{ref: ref, isLeaf: true, announce: announce})
 }
 
 // probeLiveness starts a routing-table liveness probe of ref.
@@ -58,10 +58,25 @@ func (n *Node) probeLiveness(ref NodeRef) {
 	if _, ok := n.probing[ref.ID]; ok {
 		return
 	}
-	ps := &probeState{ref: ref}
-	n.probing[ref.ID] = ps
+	n.startProbe(&probeState{ref: ref})
+}
+
+// startProbe registers ps as its target's outstanding probe, marking the
+// target's record so the registry keeps it, then sends the first probe
+// message and arms the timeout.
+func (n *Node) startProbe(ps *probeState) {
+	n.probing[ps.ref.ID] = ps
+	n.peers.Obtain(ps.ref.ID, ps.ref.Addr, n.env.Now()).SetMembership(peer.Probing, true)
 	n.sendProbeMsg(ps)
 	n.armProbeTimer(ps)
+}
+
+// endProbe forgets x's outstanding probe (its timer is the caller's).
+func (n *Node) endProbe(x id.ID) {
+	delete(n.probing, x)
+	if rec := n.peers.Lookup(x); rec != nil {
+		rec.SetMembership(peer.Probing, false)
+	}
 }
 
 func (n *Node) sendProbeMsg(ps *probeState) {
@@ -176,7 +191,7 @@ func (n *Node) doneProbing(x id.ID) {
 	if ps.timer != nil {
 		ps.timer.Cancel()
 	}
-	delete(n.probing, x)
+	n.endProbe(x)
 	if len(n.probing) > 0 {
 		return
 	}
@@ -267,10 +282,7 @@ func (n *Node) armRepairRetry(d time.Duration) {
 func (n *Node) closestKnown(leftSide bool) (NodeRef, bool) {
 	var best NodeRef
 	found := false
-	consider := func(ref NodeRef) {
-		if ref.ID == n.self.ID {
-			return
-		}
+	n.eachInRoutingState(func(ref NodeRef, _ *peer.Record) {
 		if _, bad := n.failed[ref.ID]; bad {
 			return
 		}
@@ -289,13 +301,7 @@ func (n *Node) closestKnown(leftSide bool) (NodeRef, bool) {
 		if d.Cmp(bd) < 0 {
 			best = ref
 		}
-	}
-	for _, e := range n.rt.Entries() {
-		consider(e)
-	}
-	for _, e := range n.ls.Members() {
-		consider(e)
-	}
+	})
 	return best, found
 }
 
@@ -384,37 +390,33 @@ func (n *Node) wouldExtendLeafSet(cand NodeRef) bool {
 }
 
 // nearestKnown returns up to k known nodes closest (in ring distance) to
-// the target identifier, drawn from the routing table and leaf set. It
-// implements the reply side of generalised leaf-set repair.
+// the target identifier, closest first, drawn from the routing table and
+// leaf set. It implements the reply side of generalised leaf-set repair.
+// The k best are kept by insertion into a reused buffer; id.CloserToKey
+// is a strict total order on distinct identifiers, so the result does
+// not depend on visit order. The returned slice is a fresh copy, owned
+// by the reply message.
 func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
-	seen := map[id.ID]bool{n.self.ID: true, target: true}
-	var all []NodeRef
-	for _, e := range n.rt.Entries() {
-		if !seen[e.ID] {
-			seen[e.ID] = true
-			all = append(all, e)
+	best := n.nearBuf[:0]
+	n.eachInRoutingState(func(ref NodeRef, _ *peer.Record) {
+		if ref.ID == target {
+			return
 		}
-	}
-	for _, e := range n.ls.Members() {
-		if !seen[e.ID] {
-			seen[e.ID] = true
-			all = append(all, e)
+		i := len(best)
+		for i > 0 && id.CloserToKey(target, ref.ID, best[i-1].ID) {
+			i--
 		}
-	}
-	// Selection sort of the k closest is fine at leaf-set scale.
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		minIdx := i
-		for j := i + 1; j < len(all); j++ {
-			if id.CloserToKey(target, all[j].ID, all[minIdx].ID) {
-				minIdx = j
-			}
+		if i >= k {
+			return
 		}
-		all[i], all[minIdx] = all[minIdx], all[i]
-	}
-	return all[:k]
+		if len(best) < k {
+			best = append(best, NodeRef{})
+		}
+		copy(best[i+1:], best[i:len(best)-1])
+		best[i] = ref
+	})
+	n.nearBuf = best
+	return append([]NodeRef(nil), best...)
 }
 
 // handleRTProbeReply completes a liveness probe. Like leaf-set probe
@@ -463,10 +465,10 @@ func (n *Node) sendHeartbeats(now time.Duration) {
 
 func (n *Node) heartbeatTargets() []NodeRef {
 	if n.cfg.StructuredHeartbeats {
-		if left, ok := n.ls.LeftNeighbour(); ok {
-			return []NodeRef{left}
-		}
-		return nil
+		// The left neighbour heads the left side; slicing it out
+		// allocates nothing.
+		left := n.ls.Left()
+		return left[:min(1, len(left))]
 	}
 	return n.ls.Members()
 }
@@ -512,38 +514,31 @@ func (n *Node) silentFor(x id.ID, now time.Duration) time.Duration {
 // it, and if the detector's announcement was lost (for example during a
 // massive correlated failure) the ghost would otherwise persist forever.
 // For members that do generate traffic, suppression makes this free.
+//
+// Targets come from the routing-state index in its visit order (table
+// entries row-major, then leaf members not in the table); probing
+// changes neither structure, so the walk is safe.
 func (n *Node) scanRoutingTable(now time.Duration) {
 	trt := n.trtCurrent
-	scanned := make(map[id.ID]bool, n.rt.Count())
-	targets := n.rt.Entries()
-	for _, m := range n.ls.Members() {
-		if !n.rt.Contains(m.ID) {
-			targets = append(targets, m)
-		}
-	}
-	for _, e := range targets {
-		if scanned[e.ID] {
-			continue
-		}
-		scanned[e.ID] = true
-		rec := n.peers.Obtain(e.ID, e.Addr, now)
+	n.eachInRoutingState(func(e NodeRef, rec *peer.Record) {
+		rec.Refresh(e.Addr, now)
 		last := rec.LastLiveness
 		if last == 0 {
 			// First sight: start the probing clock now.
 			rec.LastLiveness = now
-			continue
+			return
 		}
 		if now-last < trt {
-			continue
+			return
 		}
 		if n.cfg.Suppression {
 			if lr := rec.LastRecv; lr != 0 && now-lr < trt {
 				n.counters.SuppressedProbes++
 				rec.LastLiveness = lr
-				continue
+				return
 			}
 		}
 		rec.LastLiveness = now
 		n.probeLiveness(e)
-	}
+	})
 }

@@ -48,16 +48,13 @@ func (n *Node) rememberFailed(ref NodeRef) {
 	if n.peers.SlotCount(n.slotGrave) >= n.cfg.ReconnectCacheSize {
 		var victim *graveRecord
 		var victimRec *peer.Record
-		n.peers.Each(func(r *peer.Record) {
-			g, _ := r.Get(n.slotGrave).(*graveRecord)
-			if g == nil {
-				return
-			}
+		for _, r := range n.peers.Holders(n.slotGrave) {
+			g := r.Get(n.slotGrave).(*graveRecord)
 			if victim == nil || g.tries > victim.tries ||
 				(g.tries == victim.tries && g.ref.ID.Cmp(victim.ref.ID) > 0) {
 				victim, victimRec = g, r
 			}
-		})
+		}
 		n.peers.Put(victimRec, n.slotGrave, nil)
 		n.peers.Expel(victim.ref.ID, victim.ref.Addr)
 	}
@@ -83,19 +80,16 @@ func (n *Node) forgetFailed(ref NodeRef) {
 
 // retryReconnect probes the least-recently-tried cache record, expiring
 // records that have exhausted their retry budget. Ties break on the
-// identifier so replays are deterministic despite map iteration order.
+// identifier so replays are deterministic whatever the holder order.
 func (n *Node) retryReconnect(now time.Duration) {
 	var rec *graveRecord
-	n.peers.Each(func(r *peer.Record) {
-		g, _ := r.Get(n.slotGrave).(*graveRecord)
-		if g == nil {
-			return
-		}
+	for _, r := range n.peers.Holders(n.slotGrave) {
+		g := r.Get(n.slotGrave).(*graveRecord)
 		if rec == nil || g.lastTry < rec.lastTry ||
 			(g.lastTry == rec.lastTry && g.ref.ID.Cmp(rec.ref.ID) < 0) {
 			rec = g
 		}
-	})
+	}
 	if rec == nil {
 		return
 	}
@@ -119,8 +113,5 @@ func (n *Node) probeReconnect(ref NodeRef) {
 	}
 	delete(n.failed, ref.ID)
 	noteProbeCause("reconnect")
-	ps := &probeState{ref: ref, reconnect: true}
-	n.probing[ref.ID] = ps
-	n.sendProbeMsg(ps)
-	n.armProbeTimer(ps)
+	n.startProbe(&probeState{ref: ref, reconnect: true})
 }

@@ -1,9 +1,11 @@
 package pastry
 
 import (
+	"slices"
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/peer"
 )
 
 // RoutingTable is Pastry's prefix-routing matrix: row r, column c holds a
@@ -12,10 +14,15 @@ import (
 // when known, so proximity neighbour selection can keep the closest
 // candidate per slot.
 type RoutingTable struct {
-	self  id.ID
-	b     int
-	rows  [][]rtEntry
-	count int
+	self id.ID
+	b    int
+	rows [][]rtEntry
+	// occ lists the occupied slots in row-major order, so enumerations
+	// visit only filled slots.
+	occ []occupied
+	// idx, when set, is told about every membership change (see
+	// routingIndex); standalone tables leave it nil.
+	idx *routingIndex
 }
 
 type rtEntry struct {
@@ -25,15 +32,29 @@ type rtEntry struct {
 	used   bool
 }
 
+// occupied names one filled slot as row<<b | col, with the occupant's
+// peer record (nil when no index is attached).
+type occupied struct {
+	slot uint16
+	rec  *peer.Record
+}
+
+func cmpSlot(o occupied, s uint16) int { return int(o.slot) - int(s) }
+
 // NewRoutingTable creates an empty routing table for the given local id and
 // digit width b.
 func NewRoutingTable(self id.ID, b int) *RoutingTable {
-	rows := make([][]rtEntry, id.NumDigits(b))
-	cols := 1 << b
-	for i := range rows {
-		rows[i] = make([]rtEntry, cols)
+	return &RoutingTable{self: self, b: b, rows: make([][]rtEntry, id.NumDigits(b))}
+}
+
+// at returns the entry at (row, col). Rows are allocated on first fill
+// (a table only ever populates its first few rows), so a missing row
+// reads as empty slots.
+func (rt *RoutingTable) at(row, col int) rtEntry {
+	if r := rt.rows[row]; r != nil {
+		return r[col]
 	}
-	return &RoutingTable{self: self, b: b, rows: rows}
+	return rtEntry{}
 }
 
 // Slot returns the (row, column) a node occupies in this table, or ok=false
@@ -48,7 +69,7 @@ func (rt *RoutingTable) Slot(x id.ID) (row, col int, ok bool) {
 
 // Get returns the entry at (row, col) if present.
 func (rt *RoutingTable) Get(row, col int) (NodeRef, bool) {
-	e := rt.rows[row][col]
+	e := rt.at(row, col)
 	return e.ref, e.used
 }
 
@@ -58,7 +79,7 @@ func (rt *RoutingTable) Contains(x id.ID) bool {
 	if !ok {
 		return false
 	}
-	e := rt.rows[row][col]
+	e := rt.at(row, col)
 	return e.used && e.ref.ID == x
 }
 
@@ -68,7 +89,7 @@ func (rt *RoutingTable) RTT(x id.ID) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	e := rt.rows[row][col]
+	e := rt.at(row, col)
 	if !e.used || e.ref.ID != x || !e.hasRTT {
 		return 0, false
 	}
@@ -86,12 +107,10 @@ func (rt *RoutingTable) Add(ref NodeRef) bool {
 	if !ok {
 		return false
 	}
-	e := &rt.rows[row][col]
-	if e.used {
+	if rt.at(row, col).used {
 		return false
 	}
-	*e = rtEntry{ref: ref, used: true}
-	rt.count++
+	rt.fill(row, col, rtEntry{ref: ref, used: true})
 	return true
 }
 
@@ -106,17 +125,17 @@ func (rt *RoutingTable) AddWithRTT(ref NodeRef, rtt time.Duration) bool {
 	if !ok {
 		return false
 	}
-	e := &rt.rows[row][col]
-	switch {
+	switch e := rt.at(row, col); {
 	case !e.used:
-		rt.count++
 	case e.ref.ID == ref.ID:
-		e.rtt, e.hasRTT = rtt, true
+		rt.rows[row][col].rtt, rt.rows[row][col].hasRTT = rtt, true
 		return false
 	case e.hasRTT && e.rtt <= rtt:
 		return false
+	default:
+		rt.vacate(row, col)
 	}
-	*e = rtEntry{ref: ref, rtt: rtt, hasRTT: true, used: true}
+	rt.fill(row, col, rtEntry{ref: ref, rtt: rtt, hasRTT: true, used: true})
 	return true
 }
 
@@ -126,13 +145,40 @@ func (rt *RoutingTable) Remove(x id.ID) bool {
 	if !ok {
 		return false
 	}
-	e := &rt.rows[row][col]
-	if !e.used || e.ref.ID != x {
+	if e := rt.at(row, col); !e.used || e.ref.ID != x {
 		return false
 	}
-	*e = rtEntry{}
-	rt.count--
+	rt.vacate(row, col)
 	return true
+}
+
+// fill occupies an empty slot, admitting the occupant to the index.
+func (rt *RoutingTable) fill(row, col int, e rtEntry) {
+	o := occupied{slot: uint16(row<<rt.b | col)}
+	if rt.idx != nil {
+		o.rec = rt.idx.admit(e.ref, peer.InTable)
+	}
+	if rt.rows[row] == nil {
+		rt.rows[row] = make([]rtEntry, 1<<rt.b)
+	}
+	rt.rows[row][col] = e
+	i, _ := slices.BinarySearchFunc(rt.occ, o.slot, cmpSlot)
+	rt.occ = slices.Insert(rt.occ, i, o)
+}
+
+// vacate empties an occupied slot, dropping the occupant from the index.
+func (rt *RoutingTable) vacate(row, col int) {
+	i, _ := slices.BinarySearchFunc(rt.occ, uint16(row<<rt.b|col), cmpSlot)
+	if rt.idx != nil {
+		rt.idx.drop(rt.rows[row][col].ref, rt.occ[i].rec, peer.InTable)
+	}
+	rt.rows[row][col] = rtEntry{}
+	rt.occ = slices.Delete(rt.occ, i, i+1)
+}
+
+// entry returns the slot an occ element names.
+func (rt *RoutingTable) entry(o occupied) *rtEntry {
+	return &rt.rows[o.slot>>rt.b][int(o.slot)&(1<<rt.b-1)]
 }
 
 // Row returns the non-empty entries of row r.
@@ -153,17 +199,13 @@ func (rt *RoutingTable) Row(r int) []NodeRef {
 func (rt *RoutingTable) NumRows() int { return len(rt.rows) }
 
 // Count returns the number of occupied slots.
-func (rt *RoutingTable) Count() int { return rt.count }
+func (rt *RoutingTable) Count() int { return len(rt.occ) }
 
-// Entries returns every node in the table.
+// Entries returns every node in the table, in row-major order.
 func (rt *RoutingTable) Entries() []NodeRef {
-	out := make([]NodeRef, 0, rt.count)
-	for _, row := range rt.rows {
-		for _, e := range row {
-			if e.used {
-				out = append(out, e.ref)
-			}
-		}
+	out := make([]NodeRef, len(rt.occ))
+	for i, o := range rt.occ {
+		out[i] = rt.entry(o).ref
 	}
 	return out
 }
@@ -194,7 +236,7 @@ func (rt *RoutingTable) BestForKey(k id.ID, excluded func(id.ID) bool) (NodeRef,
 	if r >= len(rt.rows) {
 		return NodeRef{}, false
 	}
-	e := rt.rows[r][k.Digit(r, rt.b)]
+	e := rt.at(r, k.Digit(r, rt.b))
 	if !e.used {
 		return NodeRef{}, false
 	}

@@ -3,8 +3,6 @@ package pastry
 import (
 	"math"
 	"time"
-
-	"mspastry/internal/peer"
 )
 
 // This file implements the self-tuning of the routing-table probing period
@@ -40,13 +38,26 @@ func pFaulty(T, mu float64) float64 {
 // seconds; mu in failures per node per second; hops is the expected route
 // length (>= 1; the last hop uses the leaf set).
 func rawLossRate(tls, trt, to, mu, hops float64, retries int) float64 {
+	return newLossCurve(tls, to, mu, hops, retries).at(trt)
+}
+
+// lossCurve is Lr as a function of Trt alone. The leaf-set term does not
+// depend on Trt, so the solver's bisection computes it once.
+type lossCurve struct {
+	detect, mu, hops, pLeaf float64
+}
+
+func newLossCurve(tls, to, mu, hops float64, retries int) lossCurve {
 	detect := float64(retries+1) * to
-	pLeaf := pFaulty(tls+detect, mu)
-	if hops <= 1 {
-		return pLeaf
+	return lossCurve{detect: detect, mu: mu, hops: hops, pLeaf: pFaulty(tls+detect, mu)}
+}
+
+func (c lossCurve) at(trt float64) float64 {
+	if c.hops <= 1 {
+		return c.pLeaf
 	}
-	pRT := pFaulty(trt+detect, mu)
-	return 1 - (1-pLeaf)*math.Pow(1-pRT, hops-1)
+	pRT := pFaulty(trt+c.detect, c.mu)
+	return 1 - (1-c.pLeaf)*math.Pow(1-pRT, c.hops-1)
 }
 
 // expectedHops returns the paper's expected route length
@@ -68,16 +79,17 @@ func expectedHops(n float64, b int) float64 {
 // applies. Returns maxTrt when even the maximum satisfies the target, and
 // the lower bound when no Trt can reach it.
 func solveTrt(target, tls, to, mu, hops float64, retries int, minTrtSec, maxTrtSec float64) float64 {
-	if rawLossRate(tls, maxTrtSec, to, mu, hops, retries) <= target {
+	lr := newLossCurve(tls, to, mu, hops, retries)
+	if lr.at(maxTrtSec) <= target {
 		return maxTrtSec
 	}
-	if rawLossRate(tls, minTrtSec, to, mu, hops, retries) >= target {
+	if lr.at(minTrtSec) >= target {
 		return minTrtSec
 	}
 	lo, hi := minTrtSec, maxTrtSec
 	for i := 0; i < 60 && hi-lo > 0.01; i++ {
 		mid := (lo + hi) / 2
-		if rawLossRate(tls, mid, to, mu, hops, retries) <= target {
+		if lr.at(mid) <= target {
 			lo = mid
 		} else {
 			hi = mid
@@ -142,17 +154,8 @@ func (n *Node) estimateMu(now time.Duration) float64 {
 	return k / (float64(m) * span.Seconds())
 }
 
-// monitoredNodes counts the unique nodes in the routing state.
-func (n *Node) monitoredNodes() int {
-	unique := make(map[string]struct{}, n.rt.Count()+n.ls.Size())
-	for _, e := range n.rt.Entries() {
-		unique[e.Addr] = struct{}{}
-	}
-	for _, e := range n.ls.Members() {
-		unique[e.Addr] = struct{}{}
-	}
-	return len(unique)
-}
+// monitoredNodes counts the unique addresses in the routing state.
+func (n *Node) monitoredNodes() int { return len(n.idx.addrRefs) }
 
 // retune recomputes the local Trt estimate and adopts the median of the
 // local value and the peers' advertised values, bounded below by
@@ -171,13 +174,11 @@ func (n *Node) retune(now time.Duration) {
 			mu, hops, n.cfg.MaxProbeRetries, minSec, maxSec)
 	}
 	n.trtLocal = time.Duration(local * float64(time.Second))
-	vals := make([]time.Duration, 0, n.peers.SlotCount(n.slotHint)+1)
-	vals = append(vals, n.trtLocal)
-	n.peers.Each(func(rec *peer.Record) {
-		if h, _ := rec.Get(n.slotHint).(*trtHint); h != nil {
-			vals = append(vals, h.d)
-		}
-	})
+	vals := append(n.trtVals[:0], n.trtLocal)
+	for _, rec := range n.peers.Holders(n.slotHint) {
+		vals = append(vals, rec.Get(n.slotHint).(*trtHint).d)
+	}
+	n.trtVals = vals
 	n.trtCurrent = clampDuration(medianDuration(vals), n.cfg.MinTrt(), maxTrt)
 	if n.sobs != nil {
 		n.sobs.TrtTuned(n, n.trtCurrent)

@@ -18,9 +18,16 @@
 // coalescers, the DHT) so no layer keeps private per-peer state beyond
 // the record's life.
 //
+// Routing-state membership is not computed by the registry: the owner
+// sets it on each record (SetMembership) at the moment its routing
+// structures admit or drop the peer, and the sweep reads it from there.
+// A record with any membership bit is never evicted, so pointers to
+// member records stay valid for as long as the membership lasts.
+//
 // Ordering guarantees: slot pruners run in registration order within a
-// record; records are visited in map order during a sweep (pruning is
-// pure state removal, so this order is unobservable); evicted records
+// record; records are visited in an unspecified order during a sweep
+// (pruning is pure state removal, so this order is unobservable), and
+// holder lists (Holders) are in no particular order; evicted records
 // are broadcast in ascending identifier order so that any work a
 // subscriber performs on eviction (for example flushing a coalescing
 // queue) happens in a deterministic sequence, keeping seeded
@@ -28,7 +35,7 @@
 package peer
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"mspastry/internal/id"
@@ -58,9 +65,9 @@ func DefaultConfig() Config {
 
 // PruneFunc is a slot's pruning rule, applied to every non-nil slot
 // value during a sweep. It returns the replacement value; returning nil
-// clears the slot. member reports whether the peer is currently in
-// routing state.
-type PruneFunc func(x id.ID, v any, now time.Duration, member bool) any
+// clears the slot. The record carries the peer's current routing-state
+// membership.
+type PruneFunc func(rec *Record, v any, now time.Duration) any
 
 // Slot is a handle to one registered component's per-record state.
 type Slot struct{ idx int }
@@ -69,6 +76,19 @@ type slotDef struct {
 	name  string
 	prune PruneFunc // nil for retained slots
 }
+
+// Membership is a bit set of the routing structures that currently hold
+// a peer.
+type Membership uint8
+
+const (
+	// InLeafSet marks a leaf-set member.
+	InLeafSet Membership = 1 << iota
+	// InTable marks a routing-table entry.
+	InTable
+	// Probing marks a peer under an outstanding liveness probe.
+	Probing
+)
 
 // Record is one peer's state. The exported timestamp fields are the
 // liveness bookkeeping every layer shares; component state hangs off
@@ -88,7 +108,40 @@ type Record struct {
 	touch    time.Duration
 	admitted bool
 	doomed   bool
-	slots    []any
+	member   Membership
+	// at is the record's position in Registry.all (int32 so it packs
+	// beside the flags).
+	at    int32
+	slots []slotVal
+}
+
+// slotVal is one slot's value and the record's position in the slot's
+// holder list (meaningful only while the value is non-nil).
+type slotVal struct {
+	v  any
+	at int
+}
+
+// Member reports whether the peer is in routing state: leaf set, routing
+// table or an outstanding probe.
+func (rec *Record) Member() bool { return rec.member != 0 }
+
+// Has reports whether any of the given membership bits is set.
+func (rec *Record) Has(m Membership) bool { return rec.member&m != 0 }
+
+// InRoutingState reports whether the peer is in the leaf set or the
+// routing table (an outstanding probe alone does not count).
+func (rec *Record) InRoutingState() bool { return rec.Has(InLeafSet | InTable) }
+
+// SetMembership sets or clears membership bits. Only the owner of the
+// routing structures calls it, from the mutators that admit or drop the
+// peer.
+func (rec *Record) SetMembership(m Membership, on bool) {
+	if on {
+		rec.member |= m
+	} else {
+		rec.member &^= m
+	}
 }
 
 // Admitted reports whether the peer ever entered routing state.
@@ -119,15 +172,20 @@ func (rec *Record) Touched() time.Duration { return rec.touch }
 
 // Registry holds every known peer's record.
 type Registry struct {
-	cfg   Config
-	recs  map[id.ID]*Record
+	cfg  Config
+	recs map[id.ID]*Record
+	// all holds the same records as recs, for sweeps and enumerations
+	// that would otherwise range over the map.
+	all   []*Record
 	slots []slotDef
 	subs  []func(x id.ID, addr string)
 
-	// live[i] counts records whose slot i is non-nil; drops[i] counts
-	// cumulative slot values cleared by pruning.
-	live  []int
-	drops []uint64
+	// holders[i] lists the records whose slot i is non-nil; drops[i]
+	// counts cumulative slot values cleared by pruning.
+	holders [][]*Record
+	drops   []uint64
+	// evict is the sweep's reused eviction buffer.
+	evict []*Record
 
 	sweeps           uint64
 	evictedStrangers uint64
@@ -167,7 +225,7 @@ func (r *Registry) NewRetainedSlot(name string) Slot {
 
 func (r *Registry) addSlot(name string, prune PruneFunc) Slot {
 	r.slots = append(r.slots, slotDef{name: name, prune: prune})
-	r.live = append(r.live, 0)
+	r.holders = append(r.holders, nil)
 	r.drops = append(r.drops, 0)
 	return Slot{idx: len(r.slots) - 1}
 }
@@ -186,15 +244,23 @@ func (r *Registry) Lookup(x id.ID) *Record { return r.recs[x] }
 func (r *Registry) Obtain(x id.ID, addr string, now time.Duration) *Record {
 	rec := r.recs[x]
 	if rec == nil {
-		rec = &Record{ID: x, Addr: addr, touch: now}
+		rec = &Record{ID: x, Addr: addr, touch: now, at: int32(len(r.all))}
 		r.recs[x] = rec
+		r.all = append(r.all, rec)
 		return rec
 	}
+	rec.Refresh(addr, now)
+	return rec
+}
+
+// Refresh is what Obtain does to an existing record: adopt a non-empty
+// address and refresh the idle clock. For callers that already hold the
+// record.
+func (rec *Record) Refresh(addr string, now time.Duration) {
 	if addr != "" {
 		rec.Addr = addr
 	}
 	rec.Touch(now)
-	return rec
 }
 
 // Get returns the record's value for the slot (nil when unset).
@@ -202,36 +268,57 @@ func (rec *Record) Get(s Slot) any {
 	if s.idx >= len(rec.slots) {
 		return nil
 	}
-	return rec.slots[s.idx]
+	return rec.slots[s.idx].v
 }
 
-// Set stores the record's value for the slot. The registry's live-slot
-// accounting is maintained by the registry methods; use Registry.Put
-// when the count matters, or Set for values that stay non-nil.
+// Put stores the record's value for the slot (nil clears it), keeping
+// the slot's holder list in step.
 func (r *Registry) Put(rec *Record, s Slot, v any) {
 	for s.idx >= len(rec.slots) {
-		rec.slots = append(rec.slots, nil)
+		rec.slots = append(rec.slots, slotVal{})
 	}
-	old := rec.slots[s.idx]
-	rec.slots[s.idx] = v
+	old := rec.slots[s.idx].v
+	rec.slots[s.idx].v = v
 	if old == nil && v != nil {
-		r.live[s.idx]++
+		r.hold(rec, s.idx)
 	} else if old != nil && v == nil {
-		r.live[s.idx]--
+		r.release(rec, s.idx)
 	}
+}
+
+// hold appends rec to slot i's holder list.
+func (r *Registry) hold(rec *Record, i int) {
+	rec.slots[i].at = len(r.holders[i])
+	r.holders[i] = append(r.holders[i], rec)
+}
+
+// release removes rec from slot i's holder list by moving the last
+// holder into its place.
+func (r *Registry) release(rec *Record, i int) {
+	h := r.holders[i]
+	at, last := rec.slots[i].at, len(h)-1
+	h[at] = h[last]
+	h[at].slots[i].at = at
+	h[last] = nil
+	r.holders[i] = h[:last]
 }
 
 // SlotCount returns how many records currently hold a value in the slot.
-func (r *Registry) SlotCount(s Slot) int { return r.live[s.idx] }
+func (r *Registry) SlotCount(s Slot) int { return len(r.holders[s.idx]) }
+
+// Holders returns the records that currently hold a value in the slot,
+// in no particular order. The slice is the registry's own: callers must
+// not modify it, and must not Put or Sweep while ranging over it.
+func (r *Registry) Holders(s Slot) []*Record { return r.holders[s.idx] }
 
 // Len returns the number of live records.
 func (r *Registry) Len() int { return len(r.recs) }
 
-// Each visits every record in map order. Pure reads and in-place value
-// mutation are safe; callers deriving behaviour from the visit order
-// must impose their own deterministic ordering.
+// Each visits every record in an unspecified order. Pure reads and
+// in-place value mutation are safe; callers deriving behaviour from the
+// visit order must impose their own deterministic ordering.
 func (r *Registry) Each(fn func(*Record)) {
-	for _, rec := range r.recs {
+	for _, rec := range r.all {
 		fn(rec)
 	}
 }
@@ -240,8 +327,8 @@ func (r *Registry) Each(fn func(*Record)) {
 // Busy records veto TTL eviction until their slots drain; the leak
 // detector uses this to tell vetoed records from genuinely leaked ones.
 func (r *Registry) Busy(rec *Record) bool {
-	for i, v := range rec.slots {
-		if v != nil && r.slots[i].prune != nil {
+	for i, sv := range rec.slots {
+		if sv.v != nil && r.slots[i].prune != nil {
 			return true
 		}
 	}
@@ -270,14 +357,14 @@ func (r *Registry) Expel(x id.ID, addr string) {
 // Sweep runs one prune pass: every record's prunable slots are pruned,
 // members are marked admitted, and non-member records that have fully
 // drained and idled past their class TTL (or were expelled) are evicted
-// with a broadcast, in ascending identifier order. member reports
-// routing-state membership (leaf set, routing table, or active probe).
-// Returns the number of records evicted.
-func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
+// with a broadcast, in ascending identifier order. Membership is read
+// from each record (SetMembership). Returns the number of records
+// evicted.
+func (r *Registry) Sweep(now time.Duration) int {
 	r.sweeps++
-	var evict []*Record
-	for x, rec := range r.recs {
-		m := member(x)
+	evict := r.evict[:0]
+	for _, rec := range r.all {
+		m := rec.Member()
 		if m {
 			rec.Admit()
 			// Membership is evidence of relevance: refresh the idle
@@ -288,7 +375,7 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 		}
 		busy := false
 		for i := range rec.slots {
-			v := rec.slots[i]
+			v := rec.slots[i].v
 			if v == nil {
 				continue
 			}
@@ -296,13 +383,13 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 			if sd.prune == nil {
 				continue // retained: lives with the record
 			}
-			if v = sd.prune(x, v, now, m); v == nil {
-				rec.slots[i] = nil
-				r.live[i]--
+			if v = sd.prune(rec, v, now); v == nil {
+				rec.slots[i].v = nil
+				r.release(rec, i)
 				r.drops[i]++
 				continue
 			}
-			rec.slots[i] = v
+			rec.slots[i].v = v
 			busy = true
 		}
 		if m || busy {
@@ -316,14 +403,17 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 			evict = append(evict, rec)
 		}
 	}
-	sort.Slice(evict, func(i, j int) bool {
-		return evict[i].ID.Cmp(evict[j].ID) < 0
-	})
+	slices.SortFunc(evict, func(a, b *Record) int { return a.ID.Cmp(b.ID) })
 	for _, rec := range evict {
 		delete(r.recs, rec.ID)
-		for i, v := range rec.slots {
-			if v != nil {
-				r.live[i]--
+		last := len(r.all) - 1
+		r.all[rec.at] = r.all[last]
+		r.all[rec.at].at = rec.at
+		r.all[last] = nil
+		r.all = r.all[:last]
+		for i, sv := range rec.slots {
+			if sv.v != nil {
+				r.release(rec, i)
 			}
 		}
 		if rec.admitted {
@@ -338,7 +428,10 @@ func (r *Registry) Sweep(now time.Duration, member func(x id.ID) bool) int {
 			fn(rec.ID, rec.Addr)
 		}
 	}
-	return len(evict)
+	n := len(evict)
+	clear(evict)
+	r.evict = evict[:0]
+	return n
 }
 
 // SlotStat is one component slot's cardinality and prune economics.
@@ -381,7 +474,7 @@ func (r *Registry) Stats() Stats {
 		EvictedAdmitted:  r.evictedAdmitted,
 		Expelled:         r.expelled,
 	}
-	for _, rec := range r.recs {
+	for _, rec := range r.all {
 		if rec.admitted {
 			s.Admitted++
 		} else {
@@ -393,7 +486,7 @@ func (r *Registry) Stats() Stats {
 	}
 	s.Slots = make([]SlotStat, len(r.slots))
 	for i, sd := range r.slots {
-		s.Slots[i] = SlotStat{Name: sd.name, Live: r.live[i], Dropped: r.drops[i]}
+		s.Slots[i] = SlotStat{Name: sd.name, Live: len(r.holders[i]), Dropped: r.drops[i]}
 	}
 	return s
 }

@@ -12,12 +12,14 @@ func testID(b byte) id.ID {
 	return id.New(uint64(b)<<56, 0)
 }
 
-func member(ids ...id.ID) func(id.ID) bool {
-	set := make(map[id.ID]bool, len(ids))
+// setMembers makes exactly the given peers routing-state members.
+func setMembers(r *Registry, ids ...id.ID) {
+	r.Each(func(rec *Record) { rec.SetMembership(InTable, false) })
 	for _, x := range ids {
-		set[x] = true
+		if rec := r.Lookup(x); rec != nil {
+			rec.SetMembership(InTable, true)
+		}
 	}
-	return func(x id.ID) bool { return set[x] }
 }
 
 func TestStrangerShortExpiry(t *testing.T) {
@@ -26,14 +28,14 @@ func TestStrangerShortExpiry(t *testing.T) {
 	r.Obtain(stranger, "s", 0)
 	r.Obtain(mem, "m", 0)
 
-	isMember := member(mem)
-	if n := r.Sweep(30*time.Second, isMember); n != 0 {
+	setMembers(r, mem)
+	if n := r.Sweep(30 * time.Second); n != 0 {
 		t.Fatalf("evicted %d before TTL", n)
 	}
 	if r.Len() != 2 {
 		t.Fatalf("len=%d, want 2", r.Len())
 	}
-	if n := r.Sweep(time.Minute, isMember); n != 1 {
+	if n := r.Sweep(time.Minute); n != 1 {
 		t.Fatalf("evicted %d at TTL, want 1 (the stranger)", n)
 	}
 	if r.Lookup(stranger) != nil {
@@ -52,16 +54,17 @@ func TestAdmittedLongTTLAndTouchRefresh(t *testing.T) {
 	r := New(Config{StrangerTTL: time.Minute, AdmittedTTL: 10 * time.Minute})
 	x := testID(3)
 	r.Obtain(x, "a", 0)
-	r.Sweep(0, member(x)) // admits
-	none := member()
-	if n := r.Sweep(9*time.Minute, none); n != 0 {
+	setMembers(r, x)
+	r.Sweep(0) // admits
+	setMembers(r)
+	if n := r.Sweep(9 * time.Minute); n != 0 {
 		t.Fatal("admitted record evicted before AdmittedTTL")
 	}
 	r.Lookup(x).Touch(9 * time.Minute)
-	if n := r.Sweep(10*time.Minute, none); n != 0 {
+	if n := r.Sweep(10 * time.Minute); n != 0 {
 		t.Fatal("touch did not refresh the idle clock")
 	}
-	if n := r.Sweep(19*time.Minute, none); n != 1 {
+	if n := r.Sweep(19 * time.Minute); n != 1 {
 		t.Fatal("admitted record not evicted after AdmittedTTL idle")
 	}
 }
@@ -70,7 +73,7 @@ func TestPrunableSlotBlocksEviction(t *testing.T) {
 	r := New(Config{StrangerTTL: time.Minute, AdmittedTTL: time.Hour})
 	type supp struct{ at time.Duration }
 	horizon := 2 * time.Minute
-	slot := r.NewSlot("suppress", func(_ id.ID, v any, now time.Duration, _ bool) any {
+	slot := r.NewSlot("suppress", func(_ *Record, v any, now time.Duration) any {
 		if s := v.(*supp); now-s.at > horizon {
 			return nil
 		}
@@ -79,16 +82,15 @@ func TestPrunableSlotBlocksEviction(t *testing.T) {
 	x := testID(4)
 	rec := r.Obtain(x, "a", 0)
 	r.Put(rec, slot, &supp{at: 0})
-	none := member()
 	// Past StrangerTTL but within the slot horizon: the slot vetoes.
-	if n := r.Sweep(90*time.Second, none); n != 0 {
+	if n := r.Sweep(90 * time.Second); n != 0 {
 		t.Fatal("record evicted while prunable slot held state")
 	}
 	if r.SlotCount(slot) != 1 {
 		t.Fatal("slot count should be 1")
 	}
 	// Past the horizon: slot drains, record follows in the same sweep.
-	if n := r.Sweep(3*time.Minute, none); n != 1 {
+	if n := r.Sweep(3 * time.Minute); n != 1 {
 		t.Fatal("record not evicted after slot drained")
 	}
 	if r.SlotCount(slot) != 0 {
@@ -105,7 +107,7 @@ func TestRetainedSlotNeverBlocks(t *testing.T) {
 	x := testID(5)
 	rec := r.Obtain(x, "a", 0)
 	r.Put(rec, slot, "estimator")
-	if n := r.Sweep(time.Minute, member()); n != 1 {
+	if n := r.Sweep(time.Minute); n != 1 {
 		t.Fatal("retained slot must not delay eviction")
 	}
 	if r.SlotCount(slot) != 0 {
@@ -121,7 +123,7 @@ func TestEvictionBroadcastSortedByID(t *testing.T) {
 	for b := byte(9); b >= 1; b-- {
 		r.Obtain(testID(b), "a", 0)
 	}
-	if n := r.Sweep(time.Minute, member()); n != 9 {
+	if n := r.Sweep(time.Minute); n != 9 {
 		t.Fatalf("evicted %d, want 9", n)
 	}
 	for i := 1; i < len(got); i++ {
@@ -142,13 +144,15 @@ func TestExpelBroadcastsOnceAndDooms(t *testing.T) {
 	})
 	x := testID(6)
 	r.Obtain(x, "a", 0)
-	r.Sweep(0, member(x)) // admit
+	setMembers(r, x)
+	r.Sweep(0) // admit
+	setMembers(r)
 	r.Expel(x, "")
 	if evictions != 1 {
 		t.Fatal("Expel must broadcast immediately")
 	}
 	// Doomed: deleted at the next sweep without TTL wait, no re-broadcast.
-	if n := r.Sweep(time.Second, member()); n != 1 {
+	if n := r.Sweep(time.Second); n != 1 {
 		t.Fatal("doomed record not collected")
 	}
 	if evictions != 1 {
@@ -162,7 +166,8 @@ func TestReadmissionLiftsDoom(t *testing.T) {
 	r.Obtain(x, "a", 0)
 	r.Expel(x, "")
 	// The peer comes back before the next sweep: membership lifts the doom.
-	if n := r.Sweep(time.Second, member(x)); n != 0 {
+	setMembers(r, x)
+	if n := r.Sweep(time.Second); n != 0 {
 		t.Fatal("readmitted peer evicted")
 	}
 	if rec := r.Lookup(x); rec == nil || !rec.Admitted() {
@@ -184,8 +189,8 @@ func TestExpelWithoutRecordIsSafe(t *testing.T) {
 // admit, slot-fill, expire and evict a rolling peer population.
 func BenchmarkRegistryAdmitEvict(b *testing.B) {
 	r := New(Config{StrangerTTL: time.Minute, AdmittedTTL: 5 * time.Minute})
-	slot := r.NewSlot("bench", func(_ id.ID, v any, now time.Duration, m bool) any {
-		if !m {
+	slot := r.NewSlot("bench", func(rec *Record, v any, now time.Duration) any {
+		if !rec.Member() {
 			return nil
 		}
 		return v
@@ -197,13 +202,13 @@ func BenchmarkRegistryAdmitEvict(b *testing.B) {
 		ids[i] = id.Random(rng)
 	}
 	now := time.Duration(0)
-	memberSet := func(x id.ID) bool { return x.Lo&1 == 0 }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := ids[i%len(ids)]
 		now += time.Second
 		rec := r.Obtain(x, "addr", now)
+		rec.SetMembership(InTable, x.Lo&1 == 0)
 		rec.LastRecv = now
 		if rec.Get(slot) == nil {
 			r.Put(rec, slot, &struct{}{})
@@ -212,7 +217,64 @@ func BenchmarkRegistryAdmitEvict(b *testing.B) {
 			r.Put(rec, rtt, &struct{}{})
 		}
 		if i%len(ids) == 0 {
-			r.Sweep(now, memberSet)
+			r.Sweep(now)
 		}
+	}
+}
+
+func TestHoldersTrackSlotValues(t *testing.T) {
+	r := New(Config{StrangerTTL: time.Minute, AdmittedTTL: time.Hour})
+	slot := r.NewSlot("hint", func(rec *Record, v any, _ time.Duration) any {
+		if !rec.InRoutingState() {
+			return nil
+		}
+		return v
+	})
+	holders := func() map[id.ID]bool {
+		set := make(map[id.ID]bool)
+		for _, rec := range r.Holders(slot) {
+			if rec.Get(slot) == nil {
+				t.Fatalf("holder %v has no value", rec.ID)
+			}
+			set[rec.ID] = true
+		}
+		if len(set) != len(r.Holders(slot)) || len(set) != r.SlotCount(slot) {
+			t.Fatalf("holder list %d entries, %d distinct, count %d", len(r.Holders(slot)), len(set), r.SlotCount(slot))
+		}
+		return set
+	}
+	var recs []*Record
+	for b := byte(1); b <= 6; b++ {
+		rec := r.Obtain(testID(b), "a", 0)
+		r.Put(rec, slot, b)
+		recs = append(recs, rec)
+	}
+	// Clearing from the middle moves the last holder into the gap.
+	r.Put(recs[1], slot, nil)
+	r.Put(recs[1], slot, nil) // clearing twice is a no-op
+	r.Put(recs[3], slot, "replaced")
+	if got := holders(); len(got) != 5 || got[recs[1].ID] {
+		t.Fatalf("holders %v after clearing record 1", got)
+	}
+	// A sweep prunes non-members' values and evicts drained strangers;
+	// the members keep theirs.
+	recs[0].SetMembership(InLeafSet, true)
+	recs[4].SetMembership(InTable, true)
+	r.Sweep(time.Minute)
+	if got := holders(); len(got) != 2 || !got[recs[0].ID] || !got[recs[4].ID] {
+		t.Fatalf("holders %v after sweep, want records 0 and 4", got)
+	}
+	if r.Len() != 2 {
+		t.Fatalf("len %d after sweep, want the 2 members", r.Len())
+	}
+	seen := 0
+	r.Each(func(rec *Record) {
+		if r.Lookup(rec.ID) != rec {
+			t.Fatalf("Each visited %v, not the registered record", rec.ID)
+		}
+		seen++
+	})
+	if seen != 2 {
+		t.Fatalf("Each visited %d records, want 2", seen)
 	}
 }
