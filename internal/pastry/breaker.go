@@ -5,6 +5,7 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/overload"
+	"mspastry/internal/peer"
 )
 
 // Per-peer circuit breakers and retry budgets (overload protection).
@@ -39,12 +40,18 @@ import (
 // breakerDenies reports whether the peer's circuit is open, so regular
 // traffic must route around it. An open breaker whose cooldown has
 // expired transitions to half-open here — admitting this very routing
-// decision as the recovery trial.
-func (n *Node) breakerDenies(x id.ID) bool {
+// decision as the recovery trial. rec is the peer's record when the
+// caller holds it; nil looks it up.
+func (n *Node) breakerDenies(x id.ID, rec *peer.Record) bool {
 	if n.cfg.BreakerThreshold <= 0 || n.peers.SlotCount(n.slotOverload) == 0 {
 		return false
 	}
-	st := n.overloadFor(x)
+	if rec == nil {
+		if rec = n.peers.Lookup(x); rec == nil {
+			return false
+		}
+	}
+	st, _ := rec.Get(n.slotOverload).(*overloadState)
 	if st == nil || st.breaker == nil {
 		return false
 	}

@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -271,5 +272,42 @@ func TestNodeTickAllocs(t *testing.T) {
 	n := tickNode(t)
 	if allocs := testing.AllocsPerRun(50, n.onTick); allocs != 0 {
 		t.Fatalf("tick allocated %v times, want 0", allocs)
+	}
+}
+
+// TestLeafIndexWrappedRing applies seeded random leaf-set mutations on a
+// ring smaller than the leaf set, so the two sides overlap and an
+// identifier often sits on both, and checks the index after every step.
+// Identifiers are re-added under a second address, so one can sit on
+// the two sides under different addresses and Members() switch between
+// them when a side drops it; overflow drops an identifier from one side
+// only.
+func TestLeafIndexWrappedRing(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := newTestNet(t, seed)
+		self := id.Random(rng)
+		n := net.addNode(self, testConfig(), nil)
+		var universe []NodeRef
+		for i := 0; i < 4+int(seed); i++ {
+			universe = append(universe, NodeRef{ID: id.Random(rng), Addr: fmt.Sprintf("w%d", i)})
+		}
+		for step := 0; step < 800; step++ {
+			ref := universe[rng.Intn(len(universe))]
+			if rng.Intn(3) == 0 {
+				ref.Addr += "-alt"
+			}
+			switch op := rng.Intn(10); {
+			case op < 6:
+				n.ls.Add(ref)
+			case op < 8:
+				n.ls.Remove(ref.ID)
+			case op < 9:
+				n.rt.Add(ref)
+			default:
+				n.markFaulty(ref, false)
+			}
+			checkIndex(t, n, universe, universe[rng.Intn(len(universe))].ID, step)
+		}
 	}
 }

@@ -47,62 +47,87 @@ func (ls *LeafSet) Add(ref NodeRef) bool {
 		return false
 	}
 	old := ls.indexed()
-	changed := insertSorted(&ls.right, ref, ls.half, func(a, b NodeRef) bool {
-		return ls.self.Clockwise(a.ID).Cmp(ls.self.Clockwise(b.ID)) < 0
-	})
-	if insertSorted(&ls.left, ref, ls.half, func(a, b NodeRef) bool {
-		return a.ID.Clockwise(ls.self).Cmp(b.ID.Clockwise(ls.self)) < 0
-	}) {
-		changed = true
+	inR, outR := ls.insert(&ls.right, ref, false)
+	inL, outL := ls.insert(&ls.left, ref, true)
+	if !inR && !inL {
+		return false
 	}
-	if changed {
-		ls.reindex(old)
+	// The index needs the identifiers whose side membership changed: the
+	// inserted ref and any farthest member an overflowing side pushed out.
+	var buf [3]id.ID
+	touched := append(buf[:0], ref.ID)
+	if !outR.IsZero() {
+		touched = append(touched, outR.ID)
 	}
-	return changed
+	if !outL.IsZero() {
+		touched = append(touched, outL.ID)
+	}
+	ls.reindex(old, touched)
+	return true
 }
 
-func insertSorted(side *[]NodeRef, ref NodeRef, capn int, less func(a, b NodeRef) bool) bool {
+// offset is x's distance from self in a side's direction: clockwise for
+// the right side, counter-clockwise for the left. Each side is sorted by
+// it, closest first.
+func (ls *LeafSet) offset(x id.ID, left bool) id.ID {
+	if left {
+		return x.Clockwise(ls.self)
+	}
+	return ls.self.Clockwise(x)
+}
+
+// search returns where x belongs in a side and whether it is there. A
+// binary search by offset: distinct identifiers have distinct offsets,
+// so x, if present, sits at the first entry not closer than it.
+func (ls *LeafSet) search(side []NodeRef, x id.ID, left bool) (int, bool) {
+	d := ls.offset(x, left)
+	lo, hi := 0, len(side)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ls.offset(side[mid].ID, left).Cmp(d) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(side) && side[lo].ID == x
+}
+
+// insert adds ref to a side, capped at l/2 entries. It reports whether
+// ref was inserted and which entry, if any, the cap pushed off the far
+// end.
+func (ls *LeafSet) insert(side *[]NodeRef, ref NodeRef, left bool) (inserted bool, dropped NodeRef) {
 	s := *side
-	for _, e := range s {
-		if e.ID == ref.ID {
-			return false
-		}
-	}
-	pos := len(s)
-	for i, e := range s {
-		if less(ref, e) {
-			pos = i
-			break
-		}
-	}
-	if pos >= capn {
-		return false
+	pos, found := ls.search(s, ref.ID, left)
+	if found || pos >= ls.half {
+		return false, NodeRef{}
 	}
 	s = append(s, NodeRef{})
 	copy(s[pos+1:], s[pos:])
 	s[pos] = ref
-	if len(s) > capn {
-		s = s[:capn]
+	if len(s) > ls.half {
+		dropped = s[ls.half]
+		s = s[:ls.half]
 	}
 	*side = s
-	return true
+	return true, dropped
 }
 
 // Remove deletes a node from both sides and reports whether it was present.
 func (ls *LeafSet) Remove(x id.ID) bool {
 	old := ls.indexed()
-	removed := removeID(&ls.left, x)
-	if removeID(&ls.right, x) {
+	removed := ls.remove(&ls.left, x, true)
+	if ls.remove(&ls.right, x, false) {
 		removed = true
 	}
 	if removed {
-		ls.reindex(old)
+		ls.reindex(old, []id.ID{x})
 	}
 	return removed
 }
 
-// indexed returns the membership snapshot a mutation diffs against: the
-// current Members() when an index is attached, nil otherwise.
+// indexed returns the membership snapshot a mutation is applied against:
+// the current Members() when an index is attached, nil otherwise.
 func (ls *LeafSet) indexed() []NodeRef {
 	if ls.idx == nil {
 		return nil
@@ -110,24 +135,24 @@ func (ls *LeafSet) indexed() []NodeRef {
 	return ls.Members()
 }
 
-// reindex invalidates the member cache after a mutation and reports the
-// change from old to the index.
-func (ls *LeafSet) reindex(old []NodeRef) {
+// reindex invalidates the member cache after a mutation and reports it to
+// the index: old is Members() before the mutation, touched the
+// identifiers whose side membership it changed.
+func (ls *LeafSet) reindex(old []NodeRef, touched []id.ID) {
 	ls.members = nil
 	if ls.idx != nil {
-		ls.idx.leafChanged(old, ls.Members())
+		ls.idx.leafChanged(old, ls.Members(), touched)
 	}
 }
 
-func removeID(side *[]NodeRef, x id.ID) bool {
+// remove deletes x from a side, reporting whether it was there.
+func (ls *LeafSet) remove(side *[]NodeRef, x id.ID, left bool) bool {
 	s := *side
-	for i, e := range s {
-		if e.ID == x {
-			*side = append(s[:i], s[i+1:]...)
-			return true
-		}
+	i, found := ls.search(s, x, left)
+	if found {
+		*side = append(s[:i], s[i+1:]...)
 	}
-	return false
+	return found
 }
 
 // RemoveAll removes every node in refs.
@@ -137,7 +162,8 @@ func (ls *LeafSet) RemoveAll(refs []NodeRef) {
 	}
 }
 
-// Contains reports whether x is in the leaf set.
+// Contains reports whether x is in the leaf set. A linear scan: on
+// sides of l/2 entries it beats a binary search by offset.
 func (ls *LeafSet) Contains(x id.ID) bool {
 	for _, e := range ls.left {
 		if e.ID == x {
@@ -245,34 +271,41 @@ func (ls *LeafSet) InRange(k id.ID) bool {
 	return id.Between(lm.ID, rm.ID, k)
 }
 
-// Closest returns the leaf-set member (or the local node) whose identifier
-// is closest to k. The boolean is false when the result is the local node.
-func (ls *LeafSet) Closest(k id.ID, excluded func(id.ID) bool) (NodeRef, bool) {
-	best := NodeRef{ID: ls.self}
-	found := false
-	consider := func(ref NodeRef) {
-		if excluded != nil && excluded(ref.ID) {
-			return
-		}
-		if id.CloserToKey(k, ref.ID, best.ID) {
-			best = ref
-			found = true
-		}
+// admission is the leaf set's entry test, computed once for a batch of
+// candidates while the set does not change (see admits).
+type admission struct {
+	self id.ID
+	// open means a side has room, so every candidate would enter.
+	open bool
+	// right and left are the clockwise offsets from self of the
+	// far-right and far-left members.
+	right, left id.ID
+}
+
+// admission returns the current entry test.
+func (ls *LeafSet) admission() admission {
+	if len(ls.left) < ls.half || len(ls.right) < ls.half {
+		return admission{open: true}
 	}
-	for _, e := range ls.left {
-		consider(e)
+	return admission{
+		self:  ls.self,
+		right: ls.self.Clockwise(ls.right[len(ls.right)-1].ID),
+		left:  ls.self.Clockwise(ls.left[len(ls.left)-1].ID),
 	}
-	for _, e := range ls.right {
-		consider(e)
+}
+
+// admits reports whether x (not self) would enter the leaf set if it
+// proved alive: a side has room, or x is strictly closer than the
+// farthest member on a side. With x's clockwise offset from self
+// computed once, that is one comparison per side: below the far-right
+// member's offset, or above the far-left member's (a smaller
+// counter-clockwise distance is a larger clockwise offset).
+func (a admission) admits(x id.ID) bool {
+	if a.open {
+		return true
 	}
-	if !found {
-		return NodeRef{ID: ls.self}, false
-	}
-	// The local node may still be the closest overall.
-	if id.CloserToKey(k, ls.self, best.ID) || ls.self == best.ID {
-		return NodeRef{ID: ls.self}, false
-	}
-	return best, true
+	off := a.self.Clockwise(x)
+	return off.Cmp(a.right) < 0 || off.Cmp(a.left) > 0
 }
 
 // Members returns all distinct leaf-set members, left side first. The

@@ -136,23 +136,26 @@ func TestLeafSetEmpty(t *testing.T) {
 	}
 }
 
+// TestLeafSetClosest checks the leaf-set next-hop choice: the member
+// closest to the key, the local node when it is closest, and the next
+// best when the closest member is routed around.
 func TestLeafSetClosest(t *testing.T) {
-	ls := NewLeafSet(id.New(0, 1000), 8)
+	n := newTestNode(t, id.New(0, 1000))
 	for _, v := range []uint64{900, 950, 1050, 1100} {
-		ls.Add(ref(v))
+		n.ls.Add(ref(v))
 	}
-	got, other := ls.Closest(id.New(0, 1060), nil)
+	got, other := n.closestLeaf(id.New(0, 1060), nil)
 	if !other || got.ID.Lo != 1050 {
 		t.Fatalf("closest to 1060 = %v (other=%v), want 1050", got, other)
 	}
 	// Key closest to self.
-	got, other = ls.Closest(id.New(0, 1001), nil)
+	got, other = n.closestLeaf(id.New(0, 1001), nil)
 	if other {
 		t.Fatalf("closest to 1001 should be self, got %v", got)
 	}
 	// Exclusion forces the next best.
-	ex := func(x id.ID) bool { return x.Lo == 1050 }
-	got, other = ls.Closest(id.New(0, 1060), ex)
+	n.excluded[id.New(0, 1050)] = true
+	got, other = n.closestLeaf(id.New(0, 1060), nil)
 	if !other || got.ID.Lo != 1100 {
 		t.Fatalf("excluded closest = %v, want 1100", got)
 	}

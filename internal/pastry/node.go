@@ -76,10 +76,11 @@ type Node struct {
 	failureHist []time.Duration
 	trtLocal    time.Duration
 	trtCurrent  time.Duration
-	// trtVals and nearBuf are reused scratch buffers for retune and
-	// nearestKnown.
-	trtVals []time.Duration
-	nearBuf []NodeRef
+	// trtVals, nearBuf and nearRefs are reused scratch buffers for
+	// retune and nearestKnown.
+	trtVals  []time.Duration
+	nearBuf  []nearEntry
+	nearRefs []NodeRef
 
 	// Distance measurement sessions, keyed by target.
 	distSessions map[id.ID]*distSession
@@ -467,7 +468,7 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 		delete(n.failed, from.ID)
 		n.counters.FalsePositives++
 	}
-	n.forgetFailed(from)
+	n.forgetFailed(rec)
 	// Opportunistic routing-table fill: we heard from the node directly.
 	n.rt.Add(from)
 	// A direct sender that belongs in our leaf set but is missing from it
@@ -475,7 +476,7 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 	// around) is probed so the leaf set re-admits it. Direct contact
 	// satisfies the insertion discipline; probing, rather than inserting
 	// outright, also exchanges leaf-set state.
-	if n.active && !n.ls.Contains(from.ID) && n.wouldExtendLeafSet(from) &&
+	if n.active && n.ls.admission().admits(from.ID) && !n.ls.Contains(from.ID) &&
 		n.markCandidateProbe(from) {
 		noteProbeCause("direct-contact")
 		n.probeLeaf(from)

@@ -165,6 +165,54 @@ func BenchmarkNodeHandleLSProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeHandleLSProbeNeedNear measures a leaf-set probe from a
+// repairing node: L leaves to filter, plus the reply's L+1 nearest known
+// nodes.
+func BenchmarkNodeHandleLSProbeNeedNear(b *testing.B) {
+	_, n, refs := benchNode(b, 64)
+	rng := rand.New(rand.NewSource(4))
+	probes := make([]*LSProbe, 64)
+	for i := range probes {
+		leaves := make([]NodeRef, n.cfg.L)
+		for j := range leaves {
+			leaves[j] = refs[rng.Intn(len(refs))]
+		}
+		probes[i] = &LSProbe{From: refs[rng.Intn(len(refs))], Leaves: leaves, NeedNear: true}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Receive(probes[i%len(probes)])
+	}
+}
+
+// BenchmarkNodeHandleLSProbeReply measures a probe reply to a repairing
+// node: L leaves and L+1 nearest known nodes to filter.
+func BenchmarkNodeHandleLSProbeReply(b *testing.B) {
+	_, n, refs := benchNode(b, 64)
+	rng := rand.New(rand.NewSource(9))
+	replies := make([]*LSProbeReply, 64)
+	pick := func(k int) []NodeRef {
+		out := make([]NodeRef, k)
+		for j := range out {
+			out[j] = refs[rng.Intn(len(refs))]
+		}
+		return out
+	}
+	for i := range replies {
+		replies[i] = &LSProbeReply{
+			From:   refs[rng.Intn(len(refs))],
+			Leaves: pick(n.cfg.L),
+			Near:   pick(n.cfg.L + 1),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Receive(replies[i%len(replies)])
+	}
+}
+
 func BenchmarkLeafSetAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	self := id.Random(rng)

@@ -106,27 +106,50 @@ func (ix *routingIndex) drop(ref NodeRef, rec *peer.Record, m peer.Membership) {
 	}
 }
 
-// leafChanged applies a leaf-set mutation, given Members() before (old)
-// and after (cur): entries that left — including the farthest member an
-// overflowing Add pushed out — are dropped before entries that arrived
-// are admitted, and leafRecs is realigned with cur. Entries compare by
-// identifier and address, so a member whose entry changed address moves
-// between address counts.
-func (ix *routingIndex) leafChanged(old, cur []NodeRef) {
-	for i, o := range old {
-		if !slices.Contains(cur, o) {
-			ix.drop(o, ix.leafRecs[i], peer.InLeafSet)
+// leafChanged applies a leaf-set mutation. old and cur are Members()
+// before and after it; touched holds the at most three identifiers
+// whose side membership it changed (the inserted ref and the members an
+// overflowing insert pushed out, or the removed ref). Every other member
+// keeps its entry and its relative order in Members() — left side
+// first, then the right-only members — so its record carries over in a
+// merge walk. A touched identifier is dropped under its old entry and
+// admitted under its new one when the two differ: it left, it arrived,
+// or, in a set that wraps the ring, Members() now shows its entry from
+// the other side (which can carry another address). Cost
+// O(len(cur)·len(touched)).
+func (ix *routingIndex) leafChanged(old, cur []NodeRef, touched []id.ID) {
+	var recs [3]*peer.Record // touched[t]'s record in cur, if a member
+	for t, x := range touched {
+		if slices.Index(touched, x) < t {
+			continue // pushed out of both sides: seen already
+		}
+		hasX := func(r NodeRef) bool { return r.ID == x }
+		o, c := slices.IndexFunc(old, hasX), slices.IndexFunc(cur, hasX)
+		if o >= 0 && c >= 0 && old[o] == cur[c] {
+			recs[t] = ix.leafRecs[o]
+			continue
+		}
+		if o >= 0 {
+			ix.drop(old[o], ix.leafRecs[o], peer.InLeafSet)
+		}
+		if c >= 0 {
+			recs[t] = ix.admit(cur[c], peer.InLeafSet)
 		}
 	}
-	recs := ix.spare[:0]
+	out := ix.spare[:0]
+	o := 0
 	for _, c := range cur {
-		if i := slices.Index(old, c); i >= 0 {
-			recs = append(recs, ix.leafRecs[i])
-		} else {
-			recs = append(recs, ix.admit(c, peer.InLeafSet))
+		if t := slices.Index(touched, c.ID); t >= 0 {
+			out = append(out, recs[t])
+			continue
 		}
+		for slices.Contains(touched, old[o].ID) {
+			o++
+		}
+		out = append(out, ix.leafRecs[o])
+		o++
 	}
-	ix.leafRecs, ix.spare = recs, ix.leafRecs
+	ix.leafRecs, ix.spare = out, ix.leafRecs
 }
 
 // eachInRoutingState visits every peer in routing state exactly once,
@@ -137,11 +160,18 @@ func (n *Node) eachInRoutingState(fn func(ref NodeRef, rec *peer.Record)) {
 	for _, o := range n.rt.occ {
 		fn(n.rt.entry(o).ref, o.rec)
 	}
-	for i, m := range n.ls.Members() {
-		if rec := n.idx.leafRecs[i]; !rec.Has(peer.InTable) {
+	members, recs := n.leafMembers()
+	for i, m := range members {
+		if rec := recs[i]; !rec.Has(peer.InTable) {
 			fn(m, rec)
 		}
 	}
+}
+
+// leafMembers returns the leaf set's Members() and their records,
+// index-aligned.
+func (n *Node) leafMembers() ([]NodeRef, []*peer.Record) {
+	return n.ls.Members(), n.idx.leafRecs
 }
 
 // sweepPeers runs the registry's prune pass; called once per maintenance
@@ -260,7 +290,14 @@ func (n *Node) overloadFor(x id.ID) *overloadState {
 
 // clearSlot empties the peer's slot if it holds a value.
 func (n *Node) clearSlot(x id.ID, s peer.Slot) {
-	if rec := n.peers.Lookup(x); rec != nil && rec.Get(s) != nil {
+	if rec := n.peers.Lookup(x); rec != nil {
+		n.clearRecordSlot(rec, s)
+	}
+}
+
+// clearRecordSlot is clearSlot for a caller holding the record.
+func (n *Node) clearRecordSlot(rec *peer.Record, s peer.Slot) {
+	if rec.Get(s) != nil {
 		n.peers.Put(rec, s, nil)
 	}
 }

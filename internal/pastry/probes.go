@@ -1,7 +1,7 @@
 package pastry
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"mspastry/internal/id"
@@ -112,7 +112,7 @@ func (n *Node) failedList() []NodeRef {
 	for _, ref := range n.failed {
 		out = append(out, ref)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Cmp(out[j].ID) < 0 })
+	slices.SortFunc(out, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
 	return out
 }
 
@@ -307,7 +307,7 @@ func (n *Node) closestKnown(leftSide bool) (NodeRef, bool) {
 
 // handleLSProbe implements RECEIVE(LS-PROBE) from Figure 2.
 func (n *Node) handleLSProbe(p *LSProbe) {
-	n.processLeafInfo(p.From, p.Leaves, p.Failed)
+	n.processLeafInfo(p.From, p.Leaves, nil, p.Failed)
 	reply := &LSProbeReply{
 		From:    n.self,
 		Leaves:  n.ls.Members(),
@@ -330,7 +330,7 @@ func (n *Node) handleLSProbe(p *LSProbe) {
 // breaker.go).
 func (n *Node) handleLSProbeReply(p *LSProbeReply) {
 	delete(n.excluded, p.From.ID)
-	n.processLeafInfo(p.From, append(p.Leaves, p.Near...), p.Failed)
+	n.processLeafInfo(p.From, p.Leaves, p.Near, p.Failed)
 	n.doneProbing(p.From.ID)
 }
 
@@ -338,85 +338,93 @@ func (n *Node) handleLSProbeReply(p *LSProbeReply) {
 // handling (Figure 2): insert the direct sender; re-probe members the
 // sender claims have failed (to recover from false positives); remove them
 // meanwhile; and probe any new leaf-set candidates before inserting them.
-func (n *Node) processLeafInfo(from NodeRef, leaves, failed []NodeRef) {
+// Candidates are the sender's leaves, then its nearest known nodes (near,
+// sent only to a repairing node).
+//
+// Probing a candidate changes neither the leaf set nor the failure
+// records, so the entry test is computed once and the side-effect-free
+// rejections run cheapest first: self, outside the leaf-set span (most
+// candidates), already a member, marked faulty. Only the probe itself,
+// which paces and records the attempt, must stay last; with candidates
+// visited in order, the probes go out in the same order whatever the
+// order of the tests.
+func (n *Node) processLeafInfo(from NodeRef, leaves, near, failed []NodeRef) {
 	delete(n.failed, from.ID)
 	n.ls.Add(from)
 	n.rt.Add(from)
 	// Nodes the sender believes faulty: if they are in our leaf set, probe
 	// them to confirm, and remove them until they prove alive.
 	for _, f := range failed {
-		if f.ID == n.self.ID {
-			continue
-		}
-		if n.ls.Contains(f.ID) {
-			n.ls.Remove(f.ID)
+		if n.ls.Remove(f.ID) {
 			noteProbeCause("confirm-failed")
 			n.probeLeaf(f)
 		}
 	}
-	// Candidate members from the sender's leaf set: probe before insertion
-	// (a node never enters the leaf set without direct contact).
-	for _, cand := range leaves {
-		if cand.ID == n.self.ID {
-			continue
-		}
-		if _, bad := n.failed[cand.ID]; bad {
-			continue
-		}
-		if n.ls.Contains(cand.ID) {
-			continue
-		}
-		if n.wouldExtendLeafSet(cand) && n.markCandidateProbe(cand) {
-			noteProbeCause("candidate")
-			n.probeLeaf(cand)
+	// Candidate members: probe before insertion (a node never enters the
+	// leaf set without direct contact).
+	adm := n.ls.admission()
+	for _, cands := range [2][]NodeRef{leaves, near} {
+		for _, cand := range cands {
+			if cand.ID == n.self.ID || !adm.admits(cand.ID) || n.ls.Contains(cand.ID) {
+				continue
+			}
+			if _, bad := n.failed[cand.ID]; bad {
+				continue
+			}
+			if n.markCandidateProbe(cand) {
+				noteProbeCause("candidate")
+				n.probeLeaf(cand)
+			}
 		}
 	}
 }
 
-// wouldExtendLeafSet reports whether cand would enter the leaf set if it
-// proved alive, bounding probe traffic to useful candidates.
-func (n *Node) wouldExtendLeafSet(cand NodeRef) bool {
-	half := n.ls.Half()
-	left, right := n.ls.Left(), n.ls.Right()
-	if len(left) < half || len(right) < half {
-		return true
-	}
-	farLeft := left[len(left)-1]
-	if cand.ID.Clockwise(n.self.ID).Cmp(farLeft.ID.Clockwise(n.self.ID)) < 0 {
-		return true
-	}
-	farRight := right[len(right)-1]
-	return n.self.ID.Clockwise(cand.ID).Cmp(n.self.ID.Clockwise(farRight.ID)) < 0
+// nearEntry is one candidate in nearestKnown's top-k buffer: its
+// distance key to the target and its position in the node's nearRefs
+// buffer. Pointer-free, so shifting entries is a plain memory move.
+type nearEntry struct {
+	key ringKey
+	at  int32
 }
 
 // nearestKnown returns up to k known nodes closest (in ring distance) to
 // the target identifier, closest first, drawn from the routing table and
 // leaf set. It implements the reply side of generalised leaf-set repair.
-// The k best are kept by insertion into a reused buffer; id.CloserToKey
-// is a strict total order on distinct identifiers, so the result does
-// not depend on visit order. The returned slice is a fresh copy, owned
-// by the reply message.
+// The k best are kept by insertion into a reused buffer, each visited
+// node's distance key computed once; the key order is id.CloserToKey's,
+// a strict total order on distinct identifiers, so the result does not
+// depend on visit order. The returned slice is a fresh copy, owned by
+// the reply message.
 func (n *Node) nearestKnown(target id.ID, k int) []NodeRef {
-	best := n.nearBuf[:0]
+	best, refs := n.nearBuf[:0], n.nearRefs[:0]
 	n.eachInRoutingState(func(ref NodeRef, _ *peer.Record) {
 		if ref.ID == target {
 			return
 		}
+		key := ringKeyOf(target, ref.ID)
 		i := len(best)
-		for i > 0 && id.CloserToKey(target, ref.ID, best[i-1].ID) {
+		for i > 0 && key.less(best[i-1].key) {
 			i--
 		}
 		if i >= k {
 			return
 		}
 		if len(best) < k {
-			best = append(best, NodeRef{})
+			best = append(best, nearEntry{})
 		}
 		copy(best[i+1:], best[i:len(best)-1])
-		best[i] = ref
+		best[i] = nearEntry{key: key, at: int32(len(refs))}
+		refs = append(refs, ref)
 	})
-	n.nearBuf = best
-	return append([]NodeRef(nil), best...)
+	n.nearBuf, n.nearRefs = best, refs
+	if len(best) == 0 {
+		return nil
+	}
+	out := make([]NodeRef, len(best))
+	for i, e := range best {
+		out[i] = refs[e.at]
+	}
+	return out
 }
 
 // handleRTProbeReply completes a liveness probe. Like leaf-set probe

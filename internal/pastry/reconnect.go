@@ -72,10 +72,10 @@ func (n *Node) graveFor(x id.ID) *graveRecord {
 	return g
 }
 
-// forgetFailed drops ref's reconnect record (direct contact proved it
-// alive, or it re-entered routing state).
-func (n *Node) forgetFailed(ref NodeRef) {
-	n.clearSlot(ref.ID, n.slotGrave)
+// forgetFailed drops the reconnect record held on the peer's record
+// (direct contact proved it alive).
+func (n *Node) forgetFailed(rec *peer.Record) {
+	n.clearRecordSlot(rec, n.slotGrave)
 }
 
 // retryReconnect probes the least-recently-tried cache record, expiring

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mspastry/internal/id"
+	"mspastry/internal/peer"
 )
 
 const maxTrt = time.Hour
@@ -47,25 +48,53 @@ func (t *triedSet) has(x id.ID) bool {
 	return false
 }
 
-// isExcluded reports whether a node must be routed around: it has been
+// isExcluded returns routedAround for next-hop candidates outside the
+// leaf set (routing table, secure first hops), whose records it looks up
+// only when breakers are in use.
+func (n *Node) isExcluded(tried *triedSet) func(id.ID) bool {
+	return func(x id.ID) bool { return n.routedAround(x, nil, tried) }
+}
+
+// routedAround reports whether a node must be routed around: it has been
 // marked faulty, or it is temporarily excluded after a missed per-hop ack,
 // or its circuit breaker is open (fast-fail: consecutive missed acks mean
 // the peer is overloaded or dead, so traffic reroutes immediately instead
 // of paying a retransmission timeout per message), or it was already
-// tried for this particular message.
-func (n *Node) isExcluded(tried *triedSet) func(id.ID) bool {
-	return func(x id.ID) bool {
-		if n.excluded[x] {
-			return true
-		}
-		if _, bad := n.failed[x]; bad {
-			return true
-		}
-		if n.breakerDenies(x) {
-			return true
-		}
-		return tried.has(x)
+// tried for this particular message. rec is x's record when the caller
+// holds it (leaf members, through the index) and nil otherwise. The
+// checks stop at the first hit, in this order; the breaker check moves
+// a Ready breaker to half-open, so callers run it for every candidate,
+// not only for those that could win.
+func (n *Node) routedAround(x id.ID, rec *peer.Record, tried *triedSet) bool {
+	if n.excluded[x] {
+		return true
 	}
+	if _, bad := n.failed[x]; bad {
+		return true
+	}
+	if n.breakerDenies(x, rec) {
+		return true
+	}
+	return tried.has(x)
+}
+
+// closestLeaf is the leaf-set branch of nextHop: the member closest to k
+// that is not routed around, or the local node (ok false) when none is
+// closer. Every member is checked for exclusion, reading its breaker
+// through the index's leaf records, and each member's distance key is
+// computed once.
+func (n *Node) closestLeaf(k id.ID, tried *triedSet) (best NodeRef, ok bool) {
+	best, bestKey := n.self, ringKeyOf(k, n.self.ID)
+	members, recs := n.leafMembers()
+	for i, m := range members {
+		if n.routedAround(m.ID, recs[i], tried) {
+			continue
+		}
+		if key := ringKeyOf(k, m.ID); key.less(bestKey) {
+			best, bestKey, ok = m, key, true
+		}
+	}
+	return best, ok
 }
 
 // nextHop implements the route function of Figure 2: leaf set first, then
@@ -73,14 +102,14 @@ func (n *Node) isExcluded(tried *triedSet) func(id.ID) bool {
 // to the key that keeps the prefix invariant (routing around failures).
 // It returns the local node with self=true when the message has arrived.
 func (n *Node) nextHop(k id.ID, tried *triedSet) (ref NodeRef, self bool, emptySlot bool) {
-	excl := n.isExcluded(tried)
 	if n.ls.InRange(k) {
-		best, other := n.ls.Closest(k, excl)
+		best, other := n.closestLeaf(k, tried)
 		if !other {
 			return n.self, true, false
 		}
 		return best, false, false
 	}
+	excl := n.isExcluded(tried)
 	r := id.CommonPrefixLen(k, n.self.ID, n.cfg.B)
 	if ref, ok := n.rt.BestForKey(k, excl); ok {
 		return ref, false, false
@@ -93,8 +122,9 @@ func (n *Node) nextHop(k id.ID, tried *triedSet) (ref NodeRef, self bool, emptyS
 	}
 	var best NodeRef
 	found := false
-	for _, m := range n.ls.Members() {
-		if excl(m.ID) {
+	members, recs := n.leafMembers()
+	for i, m := range members {
+		if n.routedAround(m.ID, recs[i], tried) {
 			continue
 		}
 		if id.CommonPrefixLen(k, m.ID, n.cfg.B) >= r && id.CloserToKey(k, m.ID, n.self.ID) {
@@ -107,6 +137,35 @@ func (n *Node) nextHop(k id.ID, tried *triedSet) (ref NodeRef, self bool, emptyS
 		return best, false, true
 	}
 	return n.self, true, false
+}
+
+// ringKey orders identifiers by closeness to a target exactly as
+// id.CloserToKey does: ring distance first; at equal distance — two
+// identifiers on opposite sides of the target — the one reached
+// clockwise, which has the smaller clockwise distance, is closer.
+// Computing the key once per identifier lets a search compare keys
+// instead of recomputing both distances on every comparison.
+type ringKey struct {
+	dist id.ID
+	// ccw marks an identifier reached counter-clockwise: its clockwise
+	// distance from the target exceeds dist.
+	ccw bool
+}
+
+func ringKeyOf(target, x id.ID) ringKey {
+	cw, ccw := target.Clockwise(x), x.Clockwise(target)
+	if cw.Cmp(ccw) <= 0 {
+		return ringKey{dist: cw}
+	}
+	return ringKey{dist: ccw, ccw: true}
+}
+
+// less reports whether a is strictly closer to the target than b.
+func (a ringKey) less(b ringKey) bool {
+	if c := a.dist.Cmp(b.dist); c != 0 {
+		return c < 0
+	}
+	return !a.ccw && b.ccw
 }
 
 // routeLookup advances a lookup one overlay hop (or delivers it). The
@@ -386,8 +445,9 @@ func (n *Node) closerExcludedExists(k id.ID, tried *triedSet) bool {
 	if !n.cfg.HoldOnSuspect {
 		return false
 	}
-	for _, m := range n.ls.Members() {
-		if !n.excluded[m.ID] && !tried.has(m.ID) && !n.breakerDenies(m.ID) {
+	members, recs := n.leafMembers()
+	for i, m := range members {
+		if !n.excluded[m.ID] && !tried.has(m.ID) && !n.breakerDenies(m.ID, recs[i]) {
 			continue
 		}
 		if _, bad := n.failed[m.ID]; bad {

@@ -15,10 +15,11 @@ count="${2:-5}"
   # Macro scenarios: one full seeded simulation per iteration.
   go test -run '^$' -bench '^BenchmarkScenario$' -benchtime 1x -count "$count" \
     ./internal/perfbench
-  # Micro hot paths: routing, member enumeration, the maintenance tick,
-  # wire-size accounting, metric observation, digit arithmetic.
+  # Micro hot paths: routing, leaf-set probe handling, member
+  # enumeration, the maintenance tick, wire-size accounting, metric
+  # observation, digit arithmetic.
   go test -run '^$' \
-    -bench '^(BenchmarkNodeNextHop|BenchmarkNodeReceiveLookupEnvelope|BenchmarkNodeHandleLSProbe|BenchmarkLeafSetMembers|BenchmarkNodeTick|BenchmarkMessageWireSize)$' \
+    -bench '^(BenchmarkNodeNextHop|BenchmarkNodeReceiveLookupEnvelope|BenchmarkNodeHandleLSProbe|BenchmarkNodeHandleLSProbeNeedNear|BenchmarkNodeHandleLSProbeReply|BenchmarkLeafSetMembers|BenchmarkNodeTick|BenchmarkMessageWireSize)$' \
     -benchtime 100000x -count "$count" ./internal/pastry
   go test -run '^$' -bench '^BenchmarkHistogramObserve' \
     -benchtime 1000000x -count "$count" ./internal/telemetry
