@@ -263,7 +263,7 @@ func (s *Store) get(key id.ID, fresh bool, done func([]byte, error)) {
 				s.counters.GetOK++
 				s.hot.raiseFloor(key, e.Version, e.Origin)
 				value := e.Value
-				s.env.Schedule(0, func() { done(value, nil) })
+				s.env.Schedule(0, nil, func() { done(value, nil) })
 				return
 			}
 			s.hot.cache.Delete(key) // expired or below the read floor
@@ -311,7 +311,7 @@ func (s *Store) sendOp(reqID uint64, op *pendingOp) {
 		s.finish(reqID, nil, errors.New("dht: node is down"))
 		return
 	}
-	op.timer = s.env.Schedule(s.cfg.RequestTimeout, func() { s.opTimeout(reqID) })
+	op.timer = s.env.Schedule(s.cfg.RequestTimeout, nil, func() { s.opTimeout(reqID) })
 }
 
 func (s *Store) opTimeout(reqID uint64) {
@@ -529,7 +529,7 @@ func (s *Store) replicaTargets(key id.ID) []pastry.NodeRef {
 
 // armSweep starts the periodic responsibility sweep.
 func (s *Store) armSweep() {
-	s.env.Schedule(s.cfg.SweepInterval, func() {
+	s.env.Schedule(s.cfg.SweepInterval, nil, func() {
 		if !s.node.Alive() {
 			return
 		}

@@ -52,7 +52,7 @@ func (s *Store) startSync(target pastry.NodeRef, keys []id.ID) {
 	round := &syncRound{target: target, digest: rd}
 	// Expire abandoned rounds (responder died mid-exchange) so the round
 	// map cannot grow without bound.
-	round.timer = s.env.Schedule(2*s.cfg.RequestTimeout, func() {
+	round.timer = s.env.Schedule(2*s.cfg.RequestTimeout, nil, func() {
 		delete(s.syncRounds, sid)
 	})
 	s.syncRounds[sid] = round

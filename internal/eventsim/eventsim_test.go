@@ -253,3 +253,82 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		s.Run()
 	}
 }
+
+func TestGuardedEventOfDeadOwnerCountsAsStep(t *testing.T) {
+	s := New(1)
+	alive := true
+	ran := 0
+	s.AfterGuarded(time.Second, &alive, func() { ran++ })
+	s.AfterGuarded(2*time.Second, &alive, func() { ran++ })
+	s.At(1500*time.Millisecond, func() { alive = false })
+	s.Run()
+	if ran != 1 {
+		t.Fatalf("guarded callbacks ran %d times, want 1 (the one before the owner died)", ran)
+	}
+	if s.Steps() != 3 || s.Now() != 2*time.Second {
+		t.Fatalf("steps=%d now=%v, want 3 steps ending at 2s", s.Steps(), s.Now())
+	}
+	e := s.AfterGuarded(time.Second, nil, func() { ran++ })
+	s.Run()
+	if ran != 2 || e.When() != 3*time.Second {
+		t.Fatalf("nil guard: ran=%d when=%v", ran, e.When())
+	}
+}
+
+func TestPostedEventsInterleaveWithHandles(t *testing.T) {
+	s := New(1)
+	var order []int
+	s.Post(time.Second, func() { order = append(order, 1) })
+	e := s.At(time.Second, func() { order = append(order, 2) })
+	s.PostAfter(time.Second, func() { order = append(order, 3) })
+	s.After(0, func() { order = append(order, 0) })
+	e.Cancel()
+	s.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 3 {
+		t.Fatalf("order = %v, want [0 1 3]", order)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", s.Pending())
+	}
+}
+
+func TestPostStepAllocatesNothing(t *testing.T) {
+	s := New(1)
+	count := 0
+	fn := func() { count++ }
+	// Grow the queue and slot table to a working size first.
+	for i := 0; i < 64; i++ {
+		s.PostAfter(time.Duration(i)*time.Millisecond, fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.PostAfter(time.Duration(count%64)*time.Millisecond, fn)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Post+Step allocates %.1f times, want 0", allocs)
+	}
+	if count < 1000 {
+		t.Fatalf("only %d callbacks ran", count)
+	}
+}
+
+// BenchmarkSimulatorPostStep measures one handle-free schedule plus one
+// executed event against a standing queue of 4096 events, the order of a
+// 100-node simulation's backlog.
+func BenchmarkSimulatorPostStep(b *testing.B) {
+	s := New(1)
+	fn := func() {}
+	var delays [1024]time.Duration
+	for i := range delays {
+		delays[i] = time.Duration(s.Rand().Intn(1000)) * time.Millisecond
+	}
+	for i := 0; i < 4096; i++ {
+		s.PostAfter(delays[i%len(delays)], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PostAfter(delays[i%len(delays)], fn)
+		s.Step()
+	}
+}

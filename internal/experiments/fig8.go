@@ -159,7 +159,7 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 	// Warm start.
 	for _, slot := range churn.Initial {
 		slot := slot
-		sim.At(time.Duration(sim.Rand().Int63n(int64(10*time.Minute))), func() { start(slot) })
+		sim.Post(time.Duration(sim.Rand().Int63n(int64(10*time.Minute))), func() { start(slot) })
 	}
 	const ramp = 15 * time.Minute
 	for _, ev := range churn.Events {
@@ -167,13 +167,13 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 		at := ramp + ev.At
 		switch ev.Kind {
 		case trace.Join:
-			sim.At(at, func() {
+			sim.Post(at, func() {
 				if !eps[ev.Node].Up() {
 					start(ev.Node)
 				}
 			})
 		case trace.Leave:
-			sim.At(at, func() {
+			sim.Post(at, func() {
 				if eps[ev.Node].Up() {
 					stop(ev.Node)
 				}
@@ -211,9 +211,9 @@ func Fig8Squirrel(cfg Fig8Config) Fig8Result {
 		}
 		// Integrate node-seconds.
 		nodeSec[win()] += float64(len(alive)) * step.Seconds()
-		sim.After(step, tick)
+		sim.PostAfter(step, tick)
 	}
-	sim.At(ramp, tick)
+	sim.Post(ramp, tick)
 
 	sim.RunUntil(duration)
 

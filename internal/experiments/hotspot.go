@@ -292,11 +292,11 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 			return
 		}
 		putKey(k)
-		sim.After(cfg.PutInterval, func() { rewrite(k) })
+		sim.PostAfter(cfg.PutInterval, func() { rewrite(k) })
 	}
 	for k := range keys {
 		kk := k
-		sim.After(time.Duration(k+1)*cfg.PutInterval/time.Duration(cfg.Keys),
+		sim.PostAfter(time.Duration(k+1)*cfg.PutInterval/time.Duration(cfg.Keys),
 			func() { rewrite(kk) })
 	}
 
@@ -376,9 +376,9 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 				}
 			})
 		}
-		sim.After(gap, readLoop)
+		sim.PostAfter(gap, readLoop)
 	}
-	sim.After(gap, readLoop)
+	sim.PostAfter(gap, readLoop)
 
 	// Load sampling at a fixed cadence (no randomness: identical event
 	// schedule in every mode).
@@ -398,9 +398,9 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 				run.Peaks[i] = lf
 			}
 		}
-		sim.After(500*time.Millisecond, sample)
+		sim.PostAfter(500*time.Millisecond, sample)
 	}
-	sim.After(500*time.Millisecond, sample)
+	sim.PostAfter(500*time.Millisecond, sample)
 
 	// Churn: crash 10% of the population mid-run, one sweep apart,
 	// never the seed node and with the same victims in every mode.
@@ -414,7 +414,7 @@ func hotspotRun(cfg HotspotConfig, caching, churn bool) HotspotRun {
 				victim = 1
 			}
 			v := victim
-			sim.After(at-sim.Now()+time.Duration(i)*hotspotSweep, func() { eps[v].Fail() })
+			sim.PostAfter(at-sim.Now()+time.Duration(i)*hotspotSweep, func() { eps[v].Fail() })
 		}
 	}
 

@@ -152,9 +152,9 @@ func (r *run) trackRecovery(healAt time.Duration) {
 		// "during" phase open (at poll granularity) so lookups issued while
 		// the ring is still damaged are not attributed to "after".
 		r.col.ExtendFaultWindow(r.measured() + recoveryPollInterval)
-		r.sim.After(recoveryPollInterval, poll)
+		r.sim.PostAfter(recoveryPollInterval, poll)
 	}
-	r.sim.At(healAt, poll)
+	r.sim.Post(healAt, poll)
 }
 
 // ringConsistent reports whether every ground-truth active node's leaf

@@ -310,11 +310,11 @@ func (r *run) execute() Result {
 	for i, slotIdx := range initial {
 		slotIdx := slotIdx
 		if i == 0 {
-			r.sim.At(0, func() { r.startNode(slotIdx, true) })
+			r.sim.Post(0, func() { r.startNode(slotIdx, true) })
 			continue
 		}
 		at := time.Duration(rng.Int63n(int64(r.setup)))
-		r.sim.At(at, func() { r.startNode(slotIdx, false) })
+		r.sim.Post(at, func() { r.startNode(slotIdx, false) })
 	}
 
 	// Churn injection: trace events shifted by the setup ramp.
@@ -323,9 +323,9 @@ func (r *run) execute() Result {
 		at := r.setup + ev.At
 		switch ev.Kind {
 		case trace.Join:
-			r.sim.At(at, func() { r.startNode(ev.Node, false) })
+			r.sim.Post(at, func() { r.startNode(ev.Node, false) })
 		case trace.Leave:
-			r.sim.At(at, func() { r.failNode(ev.Node) })
+			r.sim.Post(at, func() { r.failNode(ev.Node) })
 		}
 	}
 
@@ -333,9 +333,9 @@ func (r *run) execute() Result {
 	var sweep func()
 	sweep = func() {
 		r.sweepLost()
-		r.sim.After(cfg.LossTimeout/2, sweep)
+		r.sim.PostAfter(cfg.LossTimeout/2, sweep)
 	}
-	r.sim.After(cfg.LossTimeout, sweep)
+	r.sim.PostAfter(cfg.LossTimeout, sweep)
 
 	r.sim.RunUntil(r.setup + cfg.Trace.Duration)
 
@@ -494,9 +494,9 @@ func (r *run) scheduleLookups(n *pastry.Node) {
 			}
 			r.col.LookupIssued(r.measured())
 		}
-		r.sim.After(expDuration(r.sim, mean), fire)
+		r.sim.PostAfter(expDuration(r.sim, mean), fire)
 	}
-	r.sim.After(expDuration(r.sim, mean), fire)
+	r.sim.PostAfter(expDuration(r.sim, mean), fire)
 }
 
 func (r *run) slotBase() int { return r.slots[0].ep.Index() }

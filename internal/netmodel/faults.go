@@ -248,9 +248,9 @@ func (f *FaultSet) ReorderingAt(start, duration time.Duration, p float64, maxExt
 }
 
 func (f *FaultSet) at(start, duration time.Duration, arm, disarm func()) {
-	f.nw.sim.At(start, arm)
+	f.nw.sim.Post(start, arm)
 	if duration > 0 {
-		f.nw.sim.At(start+duration, disarm)
+		f.nw.sim.Post(start+duration, disarm)
 	}
 }
 

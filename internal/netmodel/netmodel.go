@@ -83,6 +83,9 @@ type Network struct {
 	// ShedByLane counts messages shed by bounded service queues, by the
 	// priority lane the shed message belonged to.
 	ShedByLane [overload.NumLanes]uint64
+
+	// freeDeliveries is the pool of idle in-flight frame records.
+	freeDeliveries *delivery
 }
 
 // ServiceModel bounds each endpoint's message-processing capacity: at
@@ -159,9 +162,10 @@ type Endpoint struct {
 
 	// Service-capacity state (nil/false while the model is disabled):
 	// the bounded inbound lane queue and whether a processing slot is
-	// scheduled.
+	// scheduled. svcRun is serviceOne, bound once as the slot callback.
 	svcQ    *overload.Queue
 	svcBusy bool
+	svcRun  func()
 }
 
 // svcItem is one queued inbound message; to pins the destination
@@ -179,6 +183,7 @@ func (nw *Network) NewEndpoint(index int) *Endpoint {
 		panic("netmodel: endpoint already exists: " + addr)
 	}
 	ep := &Endpoint{nw: nw, index: index, addr: addr, up: true}
+	ep.svcRun = ep.serviceOne
 	nw.eps[addr] = ep
 	return ep
 }
@@ -240,8 +245,8 @@ func (ep *Endpoint) Now() time.Duration { return ep.nw.sim.Now() }
 func (ep *Endpoint) Rand() *rand.Rand { return ep.nw.sim.Rand() }
 
 // Schedule implements pastry.Env.
-func (ep *Endpoint) Schedule(d time.Duration, fn func()) pastry.Timer {
-	return ep.nw.sim.After(d, fn)
+func (ep *Endpoint) Schedule(d time.Duration, guard *bool, fn func()) pastry.Timer {
+	return ep.nw.sim.AfterGuarded(d, guard, fn)
 }
 
 // Send implements pastry.Env. With no coalescing window the message is
@@ -286,7 +291,7 @@ func (ep *Endpoint) coalescer() *wire.Coalescer {
 			Window:     nw.coWindow,
 			LongWindow: nw.coLong,
 			Now:        nw.sim.Now,
-			After:      func(d time.Duration, fn func()) { nw.sim.After(d, fn) },
+			After:      nw.sim.PostAfter,
 			Emit: func(f wire.Flush) {
 				control := true
 				for _, m := range f.Msgs {
@@ -367,35 +372,69 @@ func (nw *Network) dropN(cause DropCause, n int) {
 	}
 }
 
+// delivery is one frame in flight: everything its arrival needs. Records
+// are pooled on the network's free list, and run is bound once, when the
+// record is created, so scheduling a delivery allocates nothing once the
+// pool has grown to the peak number of frames in flight.
+type delivery struct {
+	nw     *Network
+	dst    *Endpoint
+	to     pastry.NodeRef
+	single pastry.Message
+	batch  []pastry.Message
+	nmsgs  int
+	run    func()
+	next   *delivery
+}
+
 // deliverAfter schedules one delivery attempt for a frame; destination
 // liveness and identity are re-checked at delivery time, once per frame
 // (every message in a frame was addressed to the same incarnation).
 func (nw *Network) deliverAfter(dst *Endpoint, to pastry.NodeRef, single pastry.Message, batch []pastry.Message, nmsgs int, delay time.Duration) {
-	nw.sim.After(delay, func() {
-		if !dst.up || dst.node == nil {
-			nw.dropN(DropDeadEndpoint, nmsgs)
-			return
+	d := nw.freeDeliveries
+	if d != nil {
+		nw.freeDeliveries = d.next
+		d.next = nil
+	} else {
+		d = &delivery{nw: nw}
+		d.run = d.arrive
+	}
+	d.dst, d.to, d.single, d.batch, d.nmsgs = dst, to, single, batch, nmsgs
+	nw.sim.PostAfter(delay, d.run)
+}
+
+// arrive delivers the frame. The record goes back to the pool before any
+// message is handed over, so deliveries the handlers schedule can reuse
+// it.
+func (d *delivery) arrive() {
+	nw, dst, to, single, batch, nmsgs := d.nw, d.dst, d.to, d.single, d.batch, d.nmsgs
+	d.dst, d.to, d.single, d.batch = nil, pastry.NodeRef{}, nil, nil
+	d.next = nw.freeDeliveries
+	nw.freeDeliveries = d
+
+	if !dst.up || dst.node == nil {
+		nw.dropN(DropDeadEndpoint, nmsgs)
+		return
+	}
+	if dst.node.Ref().ID != to.ID {
+		// The endpoint was reincarnated with a new identity; the
+		// frame was addressed to the dead instance.
+		nw.dropN(DropStaleIdentity, nmsgs)
+		return
+	}
+	if batch == nil {
+		dst.accept(to, single)
+		return
+	}
+	for _, m := range batch {
+		if !dst.up || dst.node == nil || dst.node.Ref().ID != to.ID {
+			// An earlier message in the frame killed or replaced the
+			// node mid-delivery.
+			nw.dropN(DropDeadEndpoint, 1)
+			continue
 		}
-		if dst.node.Ref().ID != to.ID {
-			// The endpoint was reincarnated with a new identity; the
-			// frame was addressed to the dead instance.
-			nw.dropN(DropStaleIdentity, nmsgs)
-			return
-		}
-		if batch == nil {
-			dst.accept(to, single)
-			return
-		}
-		for _, m := range batch {
-			if !dst.up || dst.node == nil || dst.node.Ref().ID != to.ID {
-				// An earlier message in the frame killed or replaced the
-				// node mid-delivery.
-				nw.dropN(DropDeadEndpoint, 1)
-				continue
-			}
-			dst.accept(to, m)
-		}
-	})
+		dst.accept(to, m)
+	}
 }
 
 // accept hands one arrived message to the destination node: immediately
@@ -425,7 +464,7 @@ func (ep *Endpoint) startService() {
 	}
 	ep.svcBusy = true
 	interval := time.Duration(float64(time.Second) / ep.nw.svc.Rate)
-	ep.nw.sim.After(interval, ep.serviceOne)
+	ep.nw.sim.PostAfter(interval, ep.svcRun)
 }
 
 // serviceOne completes one processing slot: the highest-priority queued

@@ -226,3 +226,59 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 		t.Fatalf("network charged %d total bytes, wire output is %d", got, want)
 	}
 }
+
+// TestDatagramDeliveryAllocs pins the event core's promise for the
+// network: once the delivery pool and the destination's peer record are
+// warm, carrying one datagram (send, schedule, arrive, hand to the node)
+// allocates nothing.
+func TestDatagramDeliveryAllocs(t *testing.T) {
+	sim, nw := testNet(t, 0)
+	a := nw.NewEndpoint(nw.Topology().Attach(2, sim.Rand()))
+	b := nw.NewEndpoint(a.Index() + 1)
+	na := makeNode(t, nw, a)
+	nb := makeNode(t, nw, b)
+	hb := &pastry.Heartbeat{From: na.Ref()}
+	deliver := func() {
+		a.Send(nb.Ref(), hb)
+		if !sim.Step() {
+			t.Fatal("no delivery scheduled")
+		}
+	}
+	deliver() // warm: delivery record, b's record of a, b's table row
+	if sim.Pending() != 0 {
+		t.Fatalf("%d events pending besides the delivery", sim.Pending())
+	}
+	if got := testing.AllocsPerRun(200, deliver); got != 0 {
+		t.Fatalf("one datagram delivery allocates %.1f times, want 0", got)
+	}
+	if nb.Peers().Lookup(na.Ref().ID) == nil {
+		t.Fatal("heartbeats never reached the destination node")
+	}
+}
+
+// BenchmarkDatagramDelivery measures one datagram's trip through the
+// network model: send, loss roll, delay lookup, scheduling and arrival at
+// the destination node.
+func BenchmarkDatagramDelivery(b *testing.B) {
+	sim := eventsim.New(1)
+	topo := topology.CorpNet(topology.CorpNetConfig{Hubs: 4, EdgeRouters: 8}, rand.New(rand.NewSource(1)))
+	nw := New(sim, topo, 0)
+	src := nw.NewEndpoint(topo.Attach(2, sim.Rand()))
+	dst := nw.NewEndpoint(src.Index() + 1)
+	var nodes [2]*pastry.Node
+	for i, ep := range []*Endpoint{src, dst} {
+		n, err := pastry.NewNode(pastry.NodeRef{ID: id.New(uint64(i+1), 1), Addr: ep.Addr()}, pastry.DefaultConfig(), ep, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ep.Bind(n)
+		nodes[i] = n
+	}
+	hb := &pastry.Heartbeat{From: nodes[0].Ref()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Send(nodes[1].Ref(), hb)
+		sim.Step()
+	}
+}

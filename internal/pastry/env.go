@@ -22,8 +22,12 @@ type Env interface {
 	// Send transmits a message to another node. Delivery is unreliable
 	// and unordered, like UDP.
 	Send(to NodeRef, m Message)
-	// Schedule runs fn after d. The returned timer can be cancelled.
-	Schedule(d time.Duration, fn func()) Timer
+	// Schedule runs fn after d. The returned timer can be cancelled. A
+	// non-nil guard makes the timer conditional: when it fires, fn runs
+	// only if *guard is still true. Nodes pass their liveness flag, so a
+	// crashed node's timers fire as no-ops; the simulator still counts
+	// each as an executed event.
+	Schedule(d time.Duration, guard *bool, fn func()) Timer
 }
 
 // DropReason explains why a lookup was dropped by the overlay.

@@ -58,10 +58,16 @@ func refProcessLeafInfo(n *Node, from NodeRef, leaves, failed []NodeRef) {
 		if n.ls.Contains(cand.ID) {
 			continue
 		}
-		if refWouldExtendLeafSet(n, cand) && n.markCandidateProbe(cand) {
+		if refWouldExtendLeafSet(n, cand) && refMarkCandidateProbe(n, cand) {
 			n.probeLeaf(cand)
 		}
 	}
+}
+
+// refMarkCandidateProbe is the old markCandidateProbe, which looked the
+// candidate's record up itself.
+func refMarkCandidateProbe(n *Node, ref NodeRef) bool {
+	return n.markCandidateProbe(n.peers.Obtain(ref.ID, ref.Addr, n.env.Now()))
 }
 
 // refNoteContact is the old noteContact, membership scan before the
@@ -80,7 +86,7 @@ func refNoteContact(n *Node, from NodeRef, hint time.Duration) {
 	n.clearSlot(from.ID, n.slotGrave)
 	n.rt.Add(from)
 	if n.active && !n.ls.Contains(from.ID) && refWouldExtendLeafSet(n, from) &&
-		n.markCandidateProbe(from) {
+		refMarkCandidateProbe(n, from) {
 		n.probeLeaf(from)
 	}
 	if hint > 0 {

@@ -477,20 +477,21 @@ func (n *Node) noteContact(from NodeRef, hint time.Duration) {
 	// satisfies the insertion discipline; probing, rather than inserting
 	// outright, also exchanges leaf-set state.
 	if n.active && n.ls.admission().admits(from.ID) && !n.ls.Contains(from.ID) &&
-		n.markCandidateProbe(from) {
+		n.markCandidateProbe(rec) {
 		noteProbeCause("direct-contact")
-		n.probeLeaf(from)
+		n.probeLeafAnnounce(from, rec, false)
 	}
 	if hint > 0 {
 		n.setTrtHint(rec, hint)
 	}
 }
 
-// markCandidateProbe records a leaf-candidate probe attempt and reports
-// whether the candidate is due (not probed within the heartbeat period).
-func (n *Node) markCandidateProbe(ref NodeRef) bool {
+// markCandidateProbe records a leaf-candidate probe attempt on the
+// candidate's record and reports whether the candidate is due (not probed
+// within the heartbeat period).
+func (n *Node) markCandidateProbe(rec *peer.Record) bool {
 	now := n.env.Now()
-	s := n.suppressOf(n.peers.Obtain(ref.ID, ref.Addr, now))
+	s := n.suppressOf(rec)
 	if s.lsCandidate != 0 && now-s.lsCandidate < n.cfg.Tls {
 		return false
 	}
@@ -500,9 +501,21 @@ func (n *Node) markCandidateProbe(ref NodeRef) bool {
 
 // send transmits a message and records the contact for suppression.
 func (n *Node) send(to NodeRef, m Message) {
+	var rec *peer.Record
 	if to.ID != n.self.ID {
+		rec = n.peers.Obtain(to.ID, to.Addr, n.env.Now())
+	}
+	n.sendVia(rec, to, m)
+}
+
+// sendVia is send for a caller that already holds the peer's record (nil
+// for a message to self): the same refresh and contact record, without the
+// registry lookup.
+func (n *Node) sendVia(rec *peer.Record, to NodeRef, m Message) {
+	if rec != nil {
 		now := n.env.Now()
-		n.peers.Obtain(to.ID, to.Addr, now).LastSent = now
+		rec.Refresh(to.Addr, now)
+		rec.LastSent = now
 	}
 	if n.sobs != nil {
 		env, isEnv := m.(*Envelope)
@@ -544,14 +557,10 @@ func deriveTraceID(origin NodeRef, seq uint64, issued time.Duration) uint64 {
 	return h
 }
 
-// schedule wraps Env.Schedule with a liveness guard so callbacks never run
-// on a crashed node.
+// schedule arms a timer guarded by the node's liveness, so callbacks never
+// run on a crashed node.
 func (n *Node) schedule(d time.Duration, fn func()) Timer {
-	return n.env.Schedule(d, func() {
-		if n.alive {
-			fn()
-		}
-	})
+	return n.env.Schedule(d, &n.alive, fn)
 }
 
 // activate marks the node active, replays held messages and starts the

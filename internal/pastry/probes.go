@@ -21,11 +21,12 @@ func noteProbeCause(cause string) {
 // probeLeaf starts (or upgrades to) a leaf-set probe of ref, per Figure 2's
 // probei: no-op if the node is already being probed with a leaf probe or
 // has been marked faulty.
-func (n *Node) probeLeaf(ref NodeRef) { n.probeLeafAnnounce(ref, false) }
+func (n *Node) probeLeaf(ref NodeRef) { n.probeLeafAnnounce(ref, nil, false) }
 
 // probeLeafAnnounce starts a leaf probe; announce marks it as first-hand
-// failure suspicion (its timeout is announced to the leaf set).
-func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
+// failure suspicion (its timeout is announced to the leaf set). rec is
+// ref's record when the caller holds it, nil otherwise.
+func (n *Node) probeLeafAnnounce(ref NodeRef, rec *peer.Record, announce bool) {
 	if ref.ID == n.self.ID || ref.IsZero() {
 		return
 	}
@@ -40,11 +41,11 @@ func (n *Node) probeLeafAnnounce(ref NodeRef, announce bool) {
 			// Upgrade an in-flight liveness ping to a leaf probe so the
 			// reply carries leaf-set state.
 			ps.isLeaf = true
-			n.sendProbeMsg(ps)
+			n.sendProbeMsg(ps, nil)
 		}
 		return
 	}
-	n.startProbe(&probeState{ref: ref, isLeaf: true, announce: announce})
+	n.startProbe(&probeState{ref: ref, isLeaf: true, announce: announce}, rec)
 }
 
 // probeLiveness starts a routing-table liveness probe of ref.
@@ -58,16 +59,20 @@ func (n *Node) probeLiveness(ref NodeRef) {
 	if _, ok := n.probing[ref.ID]; ok {
 		return
 	}
-	n.startProbe(&probeState{ref: ref})
+	n.startProbe(&probeState{ref: ref}, nil)
 }
 
 // startProbe registers ps as its target's outstanding probe, marking the
 // target's record so the registry keeps it, then sends the first probe
-// message and arms the timeout.
-func (n *Node) startProbe(ps *probeState) {
+// message and arms the timeout. rec is the target's record when the caller
+// already holds it; nil looks it up.
+func (n *Node) startProbe(ps *probeState, rec *peer.Record) {
 	n.probing[ps.ref.ID] = ps
-	n.peers.Obtain(ps.ref.ID, ps.ref.Addr, n.env.Now()).SetMembership(peer.Probing, true)
-	n.sendProbeMsg(ps)
+	if rec == nil {
+		rec = n.peers.Obtain(ps.ref.ID, ps.ref.Addr, n.env.Now())
+	}
+	rec.SetMembership(peer.Probing, true)
+	n.sendProbeMsg(ps, rec)
 	n.armProbeTimer(ps)
 }
 
@@ -79,23 +84,31 @@ func (n *Node) endProbe(x id.ID) {
 	}
 }
 
-func (n *Node) sendProbeMsg(ps *probeState) {
+// sendProbeMsg sends ps's probe message; rec is the target's record when
+// the caller holds it (nil looks it up).
+func (n *Node) sendProbeMsg(ps *probeState, rec *peer.Record) {
+	var m Message
 	if ps.isLeaf {
-		n.send(ps.ref, &LSProbe{
+		m = &LSProbe{
 			From:     n.self,
 			Leaves:   n.ls.Members(),
 			Failed:   n.failedList(),
 			NeedNear: !n.ls.Complete(),
 			TrtHint:  n.trtLocal,
-		})
+		}
+	} else {
+		if ps.reconnect {
+			n.counters.SentReconnectProbes++
+		} else {
+			n.counters.SentRTProbes++
+		}
+		m = &RTProbe{From: n.self, TrtHint: n.trtLocal}
+	}
+	if rec == nil {
+		n.send(ps.ref, m)
 		return
 	}
-	if ps.reconnect {
-		n.counters.SentReconnectProbes++
-	} else {
-		n.counters.SentRTProbes++
-	}
-	n.send(ps.ref, &RTProbe{From: n.self, TrtHint: n.trtLocal})
+	n.sendVia(rec, ps.ref, m)
 }
 
 func (n *Node) armProbeTimer(ps *probeState) {
@@ -131,7 +144,7 @@ func (n *Node) probeTimeout(ps *probeState) {
 		// keeps the timer machinery running, so the verdict arrives on the
 		// same schedule either way — the peer just is not re-pinged.
 		if n.retryAllowed(ps.ref) {
-			n.sendProbeMsg(ps)
+			n.sendProbeMsg(ps, nil)
 		}
 		n.armProbeTimer(ps)
 		return
@@ -371,9 +384,9 @@ func (n *Node) processLeafInfo(from NodeRef, leaves, near, failed []NodeRef) {
 			if _, bad := n.failed[cand.ID]; bad {
 				continue
 			}
-			if n.markCandidateProbe(cand) {
+			if rec := n.peers.Obtain(cand.ID, cand.Addr, n.env.Now()); n.markCandidateProbe(rec) {
 				noteProbeCause("candidate")
-				n.probeLeaf(cand)
+				n.probeLeafAnnounce(cand, rec, false)
 			}
 		}
 	}
@@ -442,7 +455,7 @@ func (n *Node) handleRTProbeReply(p *RTProbeReply) {
 func (n *Node) suspect(ref NodeRef) {
 	if n.ls.Contains(ref.ID) {
 		noteProbeCause("suspect")
-		n.probeLeafAnnounce(ref, true)
+		n.probeLeafAnnounce(ref, nil, true)
 		return
 	}
 	n.probeLiveness(ref)

@@ -113,5 +113,5 @@ func (n *Node) probeReconnect(ref NodeRef) {
 	}
 	delete(n.failed, ref.ID)
 	noteProbeCause("reconnect")
-	n.startProbe(&probeState{ref: ref, reconnect: true})
+	n.startProbe(&probeState{ref: ref, reconnect: true}, nil)
 }

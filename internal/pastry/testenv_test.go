@@ -45,8 +45,8 @@ func (e *testEnv) Now() time.Duration { return e.net.sim.Now() }
 
 func (e *testEnv) Rand() *rand.Rand { return e.net.sim.Rand() }
 
-func (e *testEnv) Schedule(d time.Duration, fn func()) Timer {
-	return e.net.sim.After(d, fn)
+func (e *testEnv) Schedule(d time.Duration, guard *bool, fn func()) Timer {
+	return e.net.sim.AfterGuarded(d, guard, fn)
 }
 
 func (e *testEnv) Send(to NodeRef, m Message) {
@@ -59,7 +59,7 @@ func (e *testEnv) Send(to NodeRef, m Message) {
 	if net.delayFn != nil {
 		d = net.delayFn(e.self, to)
 	}
-	net.sim.After(d, func() {
+	net.sim.PostAfter(d, func() {
 		if dst, ok := net.nodes[to.Addr]; ok && dst.Alive() && dst.Ref().ID == to.ID {
 			dst.Receive(m)
 		}

@@ -113,6 +113,9 @@ type Record struct {
 	// beside the flags).
 	at    int32
 	slots []slotVal
+	// next chains records whose identifiers share the low half (see
+	// Registry.recs).
+	next *Record
 }
 
 // slotVal is one slot's value and the record's position in the slot's
@@ -172,8 +175,13 @@ func (rec *Record) Touched() time.Duration { return rec.touch }
 
 // Registry holds every known peer's record.
 type Registry struct {
-	cfg  Config
-	recs map[id.ID]*Record
+	cfg Config
+	// recs indexes records by the low half of their identifier; records
+	// whose low halves collide are chained through Record.next and told
+	// apart by the high half. Hashing one word instead of the whole
+	// 128-bit identifier makes the lookup on every send and receive
+	// cheaper, and random identifiers practically never collide.
+	recs map[uint64]*Record
 	// all holds the same records as recs, for sweeps and enumerations
 	// that would otherwise range over the map.
 	all   []*Record
@@ -202,7 +210,7 @@ func New(cfg Config) *Registry {
 	if cfg.AdmittedTTL <= 0 {
 		cfg.AdmittedTTL = def.AdmittedTTL
 	}
-	return &Registry{cfg: cfg, recs: make(map[id.ID]*Record)}
+	return &Registry{cfg: cfg, recs: make(map[uint64]*Record)}
 }
 
 // NewSlot registers a prunable component slot. A record cannot be
@@ -237,27 +245,55 @@ func (r *Registry) OnEvict(fn func(x id.ID, addr string)) {
 }
 
 // Lookup returns the peer's record, or nil if none exists.
-func (r *Registry) Lookup(x id.ID) *Record { return r.recs[x] }
+func (r *Registry) Lookup(x id.ID) *Record {
+	rec := r.recs[x.Lo]
+	for rec != nil && rec.ID.Hi != x.Hi {
+		rec = rec.next
+	}
+	return rec
+}
 
 // Obtain returns the peer's record, creating it (observed, not yet
 // admitted) on first contact, refreshing its address and idle clock.
 func (r *Registry) Obtain(x id.ID, addr string, now time.Duration) *Record {
-	rec := r.recs[x]
-	if rec == nil {
-		rec = &Record{ID: x, Addr: addr, touch: now, at: int32(len(r.all))}
-		r.recs[x] = rec
-		r.all = append(r.all, rec)
-		return rec
+	head := r.recs[x.Lo]
+	for rec := head; rec != nil; rec = rec.next {
+		if rec.ID.Hi == x.Hi {
+			rec.Refresh(addr, now)
+			return rec
+		}
 	}
-	rec.Refresh(addr, now)
+	rec := &Record{ID: x, Addr: addr, touch: now, at: int32(len(r.all)), next: head}
+	r.recs[x.Lo] = rec
+	r.all = append(r.all, rec)
 	return rec
+}
+
+// unlink removes rec from its collision chain in recs.
+func (r *Registry) unlink(rec *Record) {
+	head := r.recs[rec.ID.Lo]
+	if head == rec {
+		if rec.next == nil {
+			delete(r.recs, rec.ID.Lo)
+		} else {
+			r.recs[rec.ID.Lo] = rec.next
+		}
+	} else {
+		p := head
+		for p.next != rec {
+			p = p.next
+		}
+		p.next = rec.next
+	}
+	rec.next = nil
 }
 
 // Refresh is what Obtain does to an existing record: adopt a non-empty
 // address and refresh the idle clock. For callers that already hold the
-// record.
+// record. An unchanged address is not stored again (the store would cost
+// a write barrier on every receive).
 func (rec *Record) Refresh(addr string, now time.Duration) {
-	if addr != "" {
+	if addr != "" && addr != rec.Addr {
 		rec.Addr = addr
 	}
 	rec.Touch(now)
@@ -312,7 +348,7 @@ func (r *Registry) SlotCount(s Slot) int { return len(r.holders[s.idx]) }
 func (r *Registry) Holders(s Slot) []*Record { return r.holders[s.idx] }
 
 // Len returns the number of live records.
-func (r *Registry) Len() int { return len(r.recs) }
+func (r *Registry) Len() int { return len(r.all) }
 
 // Each visits every record in an unspecified order. Pure reads and
 // in-place value mutation are safe; callers deriving behaviour from the
@@ -342,7 +378,7 @@ func (r *Registry) Busy(rec *Record) bool {
 // for the idle TTL. Used when a layer knows the peer is gone for good
 // (reconnect cache expiry). Safe to call for peers with no record.
 func (r *Registry) Expel(x id.ID, addr string) {
-	if rec := r.recs[x]; rec != nil {
+	if rec := r.Lookup(x); rec != nil {
 		rec.doomed = true
 		if addr == "" {
 			addr = rec.Addr
@@ -405,7 +441,7 @@ func (r *Registry) Sweep(now time.Duration) int {
 	}
 	slices.SortFunc(evict, func(a, b *Record) int { return a.ID.Cmp(b.ID) })
 	for _, rec := range evict {
-		delete(r.recs, rec.ID)
+		r.unlink(rec)
 		last := len(r.all) - 1
 		r.all[rec.at] = r.all[last]
 		r.all[rec.at].at = rec.at
@@ -468,7 +504,7 @@ type Stats struct {
 // economics.
 func (r *Registry) Stats() Stats {
 	s := Stats{
-		Live:             len(r.recs),
+		Live:             len(r.all),
 		Sweeps:           r.sweeps,
 		EvictedStrangers: r.evictedStrangers,
 		EvictedAdmitted:  r.evictedAdmitted,

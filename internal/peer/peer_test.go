@@ -278,3 +278,49 @@ func TestHoldersTrackSlotValues(t *testing.T) {
 		t.Fatalf("Each visited %d records, want 2", seen)
 	}
 }
+
+// TestLowHalfCollisionChain pins the index's collision handling: records
+// whose identifiers share the low half live on one chain, each is found
+// by its exact identifier, and evicting one from the head, middle or tail
+// of the chain leaves the others reachable.
+func TestLowHalfCollisionChain(t *testing.T) {
+	r := New(Config{StrangerTTL: time.Minute, AdmittedTTL: time.Hour})
+	ids := []id.ID{id.New(1, 7), id.New(2, 7), id.New(3, 7), id.New(4, 7), id.New(1, 8)}
+	for i, x := range ids {
+		r.Obtain(x, string(rune('a'+i)), 0)
+	}
+	if r.Len() != len(ids) || r.Stats().Live != len(ids) {
+		t.Fatalf("len=%d live=%d, want %d", r.Len(), r.Stats().Live, len(ids))
+	}
+	for i, x := range ids {
+		rec := r.Lookup(x)
+		if rec == nil || rec.ID != x || rec.Addr != string(rune('a'+i)) {
+			t.Fatalf("Lookup(%v) = %+v", x, rec)
+		}
+		if again := r.Obtain(x, "", time.Second); again != rec {
+			t.Fatalf("Obtain(%v) made a second record", x)
+		}
+	}
+	if r.Lookup(id.New(5, 7)) != nil || r.Lookup(id.New(2, 8)) != nil {
+		t.Fatal("Lookup found a record for an unknown identifier")
+	}
+	// Keep ids[0] and ids[2]; the rest idle out. The chain for low half 7
+	// was built head-first, so this evicts from its head and middle.
+	setMembers(r, ids[0], ids[2])
+	if n := r.Sweep(2 * time.Minute); n != 3 {
+		t.Fatalf("evicted %d, want 3", n)
+	}
+	for i, x := range ids {
+		kept := i == 0 || i == 2
+		if (r.Lookup(x) != nil) != kept {
+			t.Fatalf("record %d present=%v, want %v", i, !kept, kept)
+		}
+	}
+	setMembers(r, ids[2])
+	if n := r.Sweep(3 * time.Hour); n != 1 || r.Lookup(ids[0]) != nil || r.Lookup(ids[2]) == nil {
+		t.Fatalf("tail eviction: evicted %d", n)
+	}
+	if rec := r.Obtain(ids[1], "b2", 4*time.Hour); rec.Addr != "b2" || r.Len() != 2 {
+		t.Fatalf("re-created record %+v, len %d", rec, r.Len())
+	}
+}

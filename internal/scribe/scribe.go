@@ -151,7 +151,7 @@ func (s *Scribe) armRefresh(group id.ID, g *groupState) {
 	if g.refresh != nil {
 		g.refresh.Cancel()
 	}
-	g.refresh = s.env.Schedule(s.cfg.RefreshInterval, func() {
+	g.refresh = s.env.Schedule(s.cfg.RefreshInterval, nil, func() {
 		cur, ok := s.groups[group]
 		if !ok {
 			return

@@ -567,8 +567,9 @@ func (e *udpEnv) LoadFactor() float64 {
 	return t.inQ.LoadFactor()
 }
 
-// Schedule arms a real timer whose callback runs on the event loop.
-func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
+// Schedule arms a real timer whose callback runs on the event loop (and
+// only while the guard, if any, holds there).
+func (e *udpEnv) Schedule(d time.Duration, guard *bool, fn func()) pastry.Timer {
 	t := (*UDP)(e)
 	ut := &udpTimer{}
 	ut.timer = time.AfterFunc(d, func() {
@@ -576,7 +577,7 @@ func (e *udpEnv) Schedule(d time.Duration, fn func()) pastry.Timer {
 			ut.mu.Lock()
 			canceled := ut.canceled
 			ut.mu.Unlock()
-			if !canceled {
+			if !canceled && (guard == nil || *guard) {
 				fn()
 			}
 		})

@@ -5,8 +5,8 @@
 #
 # With --gate, exits non-zero if any benchmark matching the gate pattern
 # regresses by more than the threshold in ns/op or allocs/op. This is the
-# CI regression gate's decision logic; benchstat (when installed) is only
-# used for the human-readable report.
+# CI regression gate's decision logic, and its table is the report CI
+# writes to the job summary.
 #
 # Usage: benchdiff.sh old.txt new.txt [--gate [pattern [threshold-pct]]]
 set -euo pipefail

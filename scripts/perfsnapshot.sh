@@ -16,11 +16,17 @@ count="${2:-5}"
   go test -run '^$' -bench '^BenchmarkScenario$' -benchtime 1x -count "$count" \
     ./internal/perfbench
   # Micro hot paths: routing, leaf-set probe handling, member
-  # enumeration, the maintenance tick, wire-size accounting, metric
-  # observation, digit arithmetic.
+  # enumeration, the maintenance tick, wire-size accounting, event
+  # scheduling, datagram delivery, metric observation, digit arithmetic.
   go test -run '^$' \
     -bench '^(BenchmarkNodeNextHop|BenchmarkNodeReceiveLookupEnvelope|BenchmarkNodeHandleLSProbe|BenchmarkNodeHandleLSProbeNeedNear|BenchmarkNodeHandleLSProbeReply|BenchmarkLeafSetMembers|BenchmarkNodeTick|BenchmarkMessageWireSize)$' \
     -benchtime 100000x -count "$count" ./internal/pastry
+  # Event core: one handle-free schedule plus one executed event, and one
+  # datagram's trip through the network model.
+  go test -run '^$' -bench '^BenchmarkSimulatorPostStep$' \
+    -benchtime 1000000x -count "$count" ./internal/eventsim
+  go test -run '^$' -bench '^BenchmarkDatagramDelivery$' \
+    -benchtime 1000000x -count "$count" ./internal/netmodel
   go test -run '^$' -bench '^BenchmarkHistogramObserve' \
     -benchtime 1000000x -count "$count" ./internal/telemetry
   go test -run '^$' -bench '^(BenchmarkDigit|BenchmarkCommonPrefixLen)$' \
