@@ -2,21 +2,20 @@ package dht
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"mspastry/internal/id"
 	"mspastry/internal/store"
+	"mspastry/internal/wire/field"
 )
 
 // Wire formats: every message starts with a 1-byte kind. Put/Get/Delete
 // requests travel through the overlay as lookup payloads and are answered
 // with a direct ack; everything from kindReplicate down travels only on
 // direct links between replicas. All decoders are total: arbitrary bytes
-// either parse or return ok=false, never panic.
-//
-// Encoders come in two layers, mirroring pastry's AppendMessage: appendX
-// writes a message onto a caller-supplied buffer (callers with a scratch
-// buffer amortise allocation), and encodeX wraps it with a right-sized
-// fresh slice for callers that retain the payload.
+// either parse or return ok=false, never panic. Each message has one
+// encoder, which returns a right-sized fresh slice because callers retain
+// the payload.
 const (
 	kindPut byte = iota + 1
 	kindGet
@@ -44,109 +43,82 @@ const (
 
 // --- Client requests (lookup payloads) ---
 
-func appendPut(dst []byte, reqID uint64, value []byte) []byte {
-	dst = append(dst, kindPut)
+func encodePut(reqID uint64, value []byte) []byte {
+	dst := append(make([]byte, 0, 16+len(value)), kindPut)
 	dst = binary.AppendUvarint(dst, reqID)
 	return append(dst, value...)
 }
 
-func encodePut(reqID uint64, value []byte) []byte {
-	return appendPut(make([]byte, 0, 16+len(value)), reqID, value)
+// encodeReqID covers the kind-plus-request-id family: Get and Delete
+// requests, every end-to-end ack and the sync-root match.
+func encodeReqID(kind byte, reqID uint64) []byte {
+	return binary.AppendUvarint(append(make([]byte, 0, 16), kind), reqID)
 }
 
-// appendReqID covers the kind-plus-request-id family: Get and Delete
-// requests and every end-to-end ack.
-func appendReqID(dst []byte, kind byte, reqID uint64) []byte {
-	dst = append(dst, kind)
-	return binary.AppendUvarint(dst, reqID)
-}
+func encodeGet(reqID uint64) []byte { return encodeReqID(kindGet, reqID) }
 
-func encodeGet(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindGet, reqID)
-}
-
-func encodeDelete(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindDelete, reqID)
-}
+func encodeDelete(reqID uint64) []byte { return encodeReqID(kindDelete, reqID) }
 
 func decodeRequest(buf []byte) (kind byte, reqID uint64, value []byte, ok bool) {
-	if len(buf) < 2 || (buf[0] != kindPut && buf[0] != kindGet && buf[0] != kindDelete) {
+	r := field.NewReader(buf)
+	kind, reqID, value = r.Byte(), r.Uvarint(), r.Rest()
+	if r.Err() != nil || (kind != kindPut && kind != kindGet && kind != kindDelete) ||
+		(kind != kindPut && len(value) != 0) { // only puts carry a value
 		return 0, 0, nil, false
 	}
-	v, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
-		return 0, 0, nil, false
-	}
-	rest := buf[1+n:]
-	if buf[0] != kindPut && len(rest) != 0 {
-		return 0, 0, nil, false // only puts carry a value
-	}
-	return buf[0], v, rest, true
+	return kind, reqID, value, true
 }
 
 // --- End-to-end acks ---
 
-func encodePutAck(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindPutAck, reqID)
-}
+func encodePutAck(reqID uint64) []byte { return encodeReqID(kindPutAck, reqID) }
 
 func decodePutAck(buf []byte) (uint64, bool) {
 	return decodeAck(kindPutAck, buf)
 }
 
-func encodeDeleteAck(reqID uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindDeleteAck, reqID)
-}
+func encodeDeleteAck(reqID uint64) []byte { return encodeReqID(kindDeleteAck, reqID) }
 
 func decodeDeleteAck(buf []byte) (uint64, bool) {
 	return decodeAck(kindDeleteAck, buf)
 }
 
+// decodeAck reads the kind-plus-request-id family. Bytes after the id
+// are ignored.
 func decodeAck(kind byte, buf []byte) (uint64, bool) {
-	if len(buf) < 2 || buf[0] != kind {
+	r := field.NewReader(buf)
+	if r.Byte() != kind {
 		return 0, false
 	}
-	v, n := binary.Uvarint(buf[1:])
-	return v, n > 0
+	v := r.Uvarint()
+	return v, r.Err() == nil
 }
 
-func appendGetResp(dst []byte, reqID uint64, found bool, value []byte) []byte {
-	dst = append(dst, kindGetResp)
-	if found {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+func encodeGetResp(reqID uint64, found bool, value []byte) []byte {
+	dst := append(make([]byte, 0, 16+len(value)), kindGetResp)
+	dst = field.AppendBool(dst, found)
 	dst = binary.AppendUvarint(dst, reqID)
 	return append(dst, value...)
 }
 
-func encodeGetResp(reqID uint64, found bool, value []byte) []byte {
-	return appendGetResp(make([]byte, 0, 16+len(value)), reqID, found, value)
-}
-
 func decodeGetResp(buf []byte) (reqID uint64, found bool, value []byte, ok bool) {
-	if len(buf) < 3 || buf[0] != kindGetResp {
+	r := field.NewReader(buf)
+	if r.Byte() != kindGetResp {
 		return 0, false, nil, false
 	}
-	found = buf[1] != 0
-	v, n := binary.Uvarint(buf[2:])
-	if n <= 0 {
+	found, reqID, value = r.Bool(), r.Uvarint(), r.Rest()
+	if r.Err() != nil {
 		return 0, false, nil, false
 	}
-	return v, found, buf[2+n:], true
+	return reqID, found, value, true
 }
 
 // --- Replica value transfer ---
 
-// appendReplicate carries one full versioned object; it is the only sync
+// encodeReplicate carries one full versioned object; it is the only sync
 // or replication message that moves values.
-func appendReplicate(dst []byte, o store.Object) []byte {
-	return store.EncodeObject(append(dst, kindReplicate), o)
-}
-
 func encodeReplicate(o store.Object) []byte {
-	return appendReplicate(make([]byte, 0, 40+len(o.Value)), o)
+	return store.EncodeObject(append(make([]byte, 0, 40+len(o.Value)), kindReplicate), o)
 }
 
 func decodeReplicate(buf []byte) (store.Object, bool) {
@@ -161,45 +133,36 @@ func decodeReplicate(buf []byte) (store.Object, bool) {
 // kindSyncRoot: sid uvarint | lo 16 | hi 16 | root 16. sid identifies the
 // initiator's round; lo/hi carry the arc so both sides digest the same
 // key domain regardless of their leaf-set views.
-func appendSyncRoot(dst []byte, sid uint64, lo, hi id.ID, root store.Digest) []byte {
-	dst = append(dst, kindSyncRoot)
+func encodeSyncRoot(sid uint64, lo, hi id.ID, root store.Digest) []byte {
+	dst := append(make([]byte, 0, 64), kindSyncRoot)
 	dst = binary.AppendUvarint(dst, sid)
-	dst = append(dst, lo.Bytes()...)
-	dst = append(dst, hi.Bytes()...)
+	dst = field.AppendID(field.AppendID(dst, lo), hi)
 	return append(dst, root[:]...)
 }
 
-func encodeSyncRoot(sid uint64, lo, hi id.ID, root store.Digest) []byte {
-	return appendSyncRoot(make([]byte, 0, 64), sid, lo, hi, root)
-}
-
 func decodeSyncRoot(buf []byte) (sid uint64, lo, hi id.ID, root store.Digest, ok bool) {
-	if len(buf) < 2 || buf[0] != kindSyncRoot {
+	r := field.NewReader(buf)
+	if r.Byte() != kindSyncRoot {
 		return 0, id.ID{}, id.ID{}, store.Digest{}, false
 	}
-	v, n := binary.Uvarint(buf[1:])
-	rest := buf[1+max(n, 0):]
-	if n <= 0 || len(rest) != 32+store.DigestLen {
+	sid, lo, hi = r.Uvarint(), r.ID(), r.ID()
+	copy(root[:], r.Take(store.DigestLen))
+	if r.Done() != nil {
 		return 0, id.ID{}, id.ID{}, store.Digest{}, false
 	}
-	lo = id.FromBytes(rest[0:16])
-	hi = id.FromBytes(rest[16:32])
-	copy(root[:], rest[32:])
-	return v, lo, hi, root, true
+	return sid, lo, hi, root, true
 }
 
 // kindSyncRootOK: sid uvarint. The responder's arc digest matched.
-func encodeSyncRootOK(sid uint64) []byte {
-	return appendReqID(make([]byte, 0, 16), kindSyncRootOK, sid)
-}
+func encodeSyncRootOK(sid uint64) []byte { return encodeReqID(kindSyncRootOK, sid) }
 
 func decodeSyncRootOK(buf []byte) (uint64, bool) {
 	return decodeAck(kindSyncRootOK, buf)
 }
 
 // kindSyncBuckets: sid uvarint | RangeBuckets × 16-byte bucket digests.
-func appendSyncBuckets(dst []byte, sid uint64, buckets *[store.RangeBuckets]store.Digest) []byte {
-	dst = append(dst, kindSyncBuckets)
+func encodeSyncBuckets(sid uint64, buckets *[store.RangeBuckets]store.Digest) []byte {
+	dst := append(make([]byte, 0, 16+store.RangeBuckets*store.DigestLen), kindSyncBuckets)
 	dst = binary.AppendUvarint(dst, sid)
 	for i := range buckets {
 		dst = append(dst, buckets[i][:]...)
@@ -207,33 +170,28 @@ func appendSyncBuckets(dst []byte, sid uint64, buckets *[store.RangeBuckets]stor
 	return dst
 }
 
-func encodeSyncBuckets(sid uint64, buckets *[store.RangeBuckets]store.Digest) []byte {
-	return appendSyncBuckets(make([]byte, 0, 16+store.RangeBuckets*store.DigestLen), sid, buckets)
-}
-
 func decodeSyncBuckets(buf []byte) (sid uint64, buckets [store.RangeBuckets]store.Digest, ok bool) {
-	if len(buf) < 2 || buf[0] != kindSyncBuckets {
+	r := field.NewReader(buf)
+	if r.Byte() != kindSyncBuckets {
 		return 0, buckets, false
 	}
-	v, n := binary.Uvarint(buf[1:])
-	rest := buf[1+max(n, 0):]
-	if n <= 0 || len(rest) != store.RangeBuckets*store.DigestLen {
-		return 0, buckets, false
-	}
+	sid = r.Uvarint()
 	for i := range buckets {
-		copy(buckets[i][:], rest[i*store.DigestLen:])
+		copy(buckets[i][:], r.Take(store.DigestLen))
 	}
-	return v, buckets, true
+	if r.Done() != nil {
+		return 0, [store.RangeBuckets]store.Digest{}, false
+	}
+	return sid, buckets, true
 }
 
 // kindSyncKeys: lo 16 | hi 16 | bucket bitmap u64 BE | count uvarint |
 // count × summary. Carries the initiator's per-key summaries for the
 // divergent buckets. It repeats the arc and bucket set instead of the sid
 // so the responder needs no round state to answer.
-func appendSyncKeys(dst []byte, lo, hi id.ID, bitmap uint64, sums []store.Summary) []byte {
-	dst = append(dst, kindSyncKeys)
-	dst = append(dst, lo.Bytes()...)
-	dst = append(dst, hi.Bytes()...)
+func encodeSyncKeys(lo, hi id.ID, bitmap uint64, sums []store.Summary) []byte {
+	dst := append(make([]byte, 0, 48+len(sums)*56), kindSyncKeys)
+	dst = field.AppendID(field.AppendID(dst, lo), hi)
 	dst = binary.BigEndian.AppendUint64(dst, bitmap)
 	dst = binary.AppendUvarint(dst, uint64(len(sums)))
 	for _, sum := range sums {
@@ -242,64 +200,54 @@ func appendSyncKeys(dst []byte, lo, hi id.ID, bitmap uint64, sums []store.Summar
 	return dst
 }
 
-func encodeSyncKeys(lo, hi id.ID, bitmap uint64, sums []store.Summary) []byte {
-	return appendSyncKeys(make([]byte, 0, 48+len(sums)*56), lo, hi, bitmap, sums)
-}
-
 func decodeSyncKeys(buf []byte) (lo, hi id.ID, bitmap uint64, sums []store.Summary, ok bool) {
-	if len(buf) < 42 || buf[0] != kindSyncKeys {
+	r := field.NewReader(buf)
+	if r.Byte() != kindSyncKeys {
 		return id.ID{}, id.ID{}, 0, nil, false
 	}
-	lo = id.FromBytes(buf[1:17])
-	hi = id.FromBytes(buf[17:33])
-	bitmap = binary.BigEndian.Uint64(buf[33:41])
-	rest := buf[41:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)) { // each summary is ≥ 35 bytes
+	lo, hi = r.ID(), r.ID()
+	if b := r.Take(8); b != nil {
+		bitmap = binary.BigEndian.Uint64(b)
+	}
+	count := r.Uvarint()
+	if count > uint64(r.Len()/minSummaryLen) {
 		return id.ID{}, id.ID{}, 0, nil, false
 	}
-	rest = rest[n:]
-	sums = make([]store.Summary, 0, count)
-	for i := uint64(0); i < count; i++ {
-		sum, tail, ok2 := cutSummary(rest)
-		if !ok2 {
-			return id.ID{}, id.ID{}, 0, nil, false
-		}
-		sums = append(sums, sum)
-		rest = tail
+	sums = make([]store.Summary, count)
+	for i := range sums {
+		sums[i] = readSummary(&r)
 	}
-	if len(rest) != 0 {
+	if r.Done() != nil {
 		return id.ID{}, id.ID{}, 0, nil, false
 	}
 	return lo, hi, bitmap, sums, true
 }
 
 // kindSyncPull: count uvarint | count × 16-byte keys the responder wants.
-func appendSyncPull(dst []byte, keys []id.ID) []byte {
-	dst = append(dst, kindSyncPull)
+func encodeSyncPull(keys []id.ID) []byte {
+	dst := append(make([]byte, 0, 16+len(keys)*16), kindSyncPull)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
-		dst = append(dst, k.Bytes()...)
+		dst = field.AppendID(dst, k)
 	}
 	return dst
 }
 
-func encodeSyncPull(keys []id.ID) []byte {
-	return appendSyncPull(make([]byte, 0, 16+len(keys)*16), keys)
-}
-
 func decodeSyncPull(buf []byte) ([]id.ID, bool) {
-	if len(buf) < 2 || buf[0] != kindSyncPull {
+	r := field.NewReader(buf)
+	if r.Byte() != kindSyncPull {
 		return nil, false
 	}
-	count, n := binary.Uvarint(buf[1:])
-	rest := buf[1+max(n, 0):]
-	if n <= 0 || uint64(len(rest)) != count*16 || count > uint64(len(rest)) {
+	count := r.Uvarint()
+	if count > uint64(r.Len()/16) {
 		return nil, false
 	}
-	keys := make([]id.ID, 0, count)
-	for i := uint64(0); i < count; i++ {
-		keys = append(keys, id.FromBytes(rest[i*16:i*16+16]))
+	keys := make([]id.ID, count)
+	for i := range keys {
+		keys[i] = r.ID()
+	}
+	if r.Done() != nil {
+		return nil, false
 	}
 	return keys, true
 }
@@ -312,11 +260,12 @@ func encodeHandoffOffer(sum store.Summary) []byte {
 }
 
 func decodeHandoffOffer(buf []byte) (store.Summary, bool) {
-	if len(buf) < 2 || buf[0] != kindHandoffOffer {
+	r := field.NewReader(buf)
+	if r.Byte() != kindHandoffOffer {
 		return store.Summary{}, false
 	}
-	sum, rest, ok := cutSummary(buf[1:])
-	if !ok || len(rest) != 0 {
+	sum := readSummary(&r)
+	if r.Done() != nil {
 		return store.Summary{}, false
 	}
 	return sum, true
@@ -324,14 +273,16 @@ func decodeHandoffOffer(buf []byte) (store.Summary, bool) {
 
 // kindHandoffWant / kindHandoffHave: the bare 16-byte key.
 func encodeHandoffKey(kind byte, key id.ID) []byte {
-	return append(append(make([]byte, 0, 17), kind), key.Bytes()...)
+	return field.AppendID(append(make([]byte, 0, 17), kind), key)
 }
 
 func decodeHandoffKey(kind byte, buf []byte) (id.ID, bool) {
-	if len(buf) != 17 || buf[0] != kind {
+	r := field.NewReader(buf)
+	if r.Byte() != kind {
 		return id.ID{}, false
 	}
-	return id.FromBytes(buf[1:17]), true
+	key := r.ID()
+	return key, r.Done() == nil
 }
 
 // --- Key summary entries ---
@@ -339,39 +290,34 @@ func decodeHandoffKey(kind byte, buf []byte) (id.ID, bool) {
 // Summary wire layout: key 16 | flags 1 | version uvarint | origin uvarint
 // | digest 16.
 func appendSummary(dst []byte, sum store.Summary) []byte {
-	dst = append(dst, sum.Key.Bytes()...)
-	flags := byte(0)
-	if sum.Tombstone {
-		flags = 1
-	}
-	dst = append(dst, flags)
+	dst = field.AppendID(dst, sum.Key)
+	dst = field.AppendBool(dst, sum.Tombstone)
 	dst = binary.AppendUvarint(dst, sum.Version)
 	dst = binary.AppendUvarint(dst, sum.Origin)
 	return append(dst, sum.Dig[:]...)
 }
 
-// cutSummary parses one summary off the front of buf and returns the tail.
-func cutSummary(buf []byte) (store.Summary, []byte, bool) {
-	if len(buf) < 17 || buf[16]&^1 != 0 {
-		return store.Summary{}, nil, false
+// minSummaryLen is the smallest encoded summary: both varints one byte.
+const minSummaryLen = 16 + 1 + 1 + 1 + store.DigestLen
+
+var (
+	errSummaryFlags   = errors.New("dht: unknown summary flags")
+	errSummaryVersion = errors.New("dht: summary of version 0")
+)
+
+// readSummary parses one summary. Summaries describe written objects, so
+// version 0 is rejected.
+func readSummary(r *field.Reader) store.Summary {
+	sum := store.Summary{Key: r.ID()}
+	flags := r.Byte()
+	if flags&^1 != 0 {
+		r.Fail(errSummaryFlags)
 	}
-	sum := store.Summary{Key: id.FromBytes(buf[0:16]), Tombstone: buf[16] == 1}
-	rest := buf[17:]
-	v, n := binary.Uvarint(rest)
-	if n <= 0 || v == 0 { // summaries describe written objects; version ≥ 1
-		return store.Summary{}, nil, false
+	sum.Tombstone = flags == 1
+	if sum.Version = r.Uvarint(); sum.Version == 0 {
+		r.Fail(errSummaryVersion)
 	}
-	sum.Version = v
-	rest = rest[n:]
-	v, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return store.Summary{}, nil, false
-	}
-	sum.Origin = v
-	rest = rest[n:]
-	if len(rest) < store.DigestLen {
-		return store.Summary{}, nil, false
-	}
-	copy(sum.Dig[:], rest[:store.DigestLen])
-	return sum, rest[store.DigestLen:], true
+	sum.Origin = r.Uvarint()
+	copy(sum.Dig[:], r.Take(store.DigestLen))
+	return sum
 }

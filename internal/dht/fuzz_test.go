@@ -3,6 +3,7 @@ package dht
 import (
 	"testing"
 
+	"mspastry/internal/codectest"
 	"mspastry/internal/id"
 	"mspastry/internal/store"
 )
@@ -122,5 +123,15 @@ func FuzzDecodeSyncRoot(f *testing.F) {
 		if !ok2 || s2 != sid || l2 != lo || h2 != hi || r2 != r {
 			t.Fatalf("syncroot roundtrip mismatch for %x", data)
 		}
+	})
+}
+
+// FuzzDecodeMessage covers every dht message kind, including those
+// without a dedicated target above: the acks, sync buckets, sync pull and
+// the handoff offer and key.
+func FuzzDecodeMessage(f *testing.F) {
+	codectest.Seed(f, "testdata/corpus.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		codectest.FuzzRoundTrip(t, corpusCodec, data)
 	})
 }

@@ -173,9 +173,10 @@ type run struct {
 	timeoutLost int
 	recovery    []stats.RecoveryStat
 
-	// tel mirrors protocol events into the shared telemetry registry and
-	// hop tracer (nil when cfg.Telemetry is unset).
-	tel    *telemetry.Overlay
+	// obs receives every node's protocol events: the run itself, wrapped
+	// in a telemetry overlay that mirrors them into the shared registry
+	// and hop tracer when cfg.Telemetry is set.
+	obs    pastry.Observer
 	tracer *telemetry.Tracer
 
 	// adv is the configured Byzantine adversary (nil when
@@ -271,12 +272,13 @@ func newRun(cfg Config) *run {
 			r.adv.Mark(r.slots[i].ep.Addr())
 		}
 	}
+	r.obs = (*runObserver)(r)
 	if cfg.Telemetry != nil {
 		if cfg.TraceLookups {
 			r.tracer = telemetry.NewTracer(0)
 		}
-		r.tel = telemetry.NewOverlay(cfg.Telemetry, r.tracer,
-			telemetry.OverlayOptions{SharedClock: true})
+		r.obs = telemetry.NewOverlay(cfg.Telemetry, r.tracer,
+			telemetry.OverlayOptions{Inner: (*runObserver)(r), SharedClock: true})
 	}
 	nw.SetCoalesceWindow(cfg.CoalesceWindow)
 	nw.SetCoalesceLongWindow(cfg.CoalesceLongWindow)
@@ -396,7 +398,7 @@ func (r *run) startNode(slotIdx int, bootstrap bool) {
 		return // duplicate join in trace; ignore
 	}
 	self := pastry.NodeRef{ID: id.Random(r.sim.Rand()), Addr: s.ep.Addr()}
-	node, err := pastry.NewNode(self, r.cfg.Pastry, s.ep, (*runObserver)(r))
+	node, err := pastry.NewNode(self, r.cfg.Pastry, s.ep, r.obs)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
@@ -527,9 +529,7 @@ func (r *run) sweepLost() {
 	}
 }
 
-// runObserver adapts *run to pastry.Observer (plus the TraceObserver and
-// StatsObserver extensions, which it forwards to the telemetry overlay
-// when one is configured).
+// runObserver adapts *run to pastry.Observer.
 type runObserver run
 
 // Activated implements pastry.Observer: the node enters the ground-truth
@@ -542,75 +542,13 @@ func (o *runObserver) Activated(n *pastry.Node, joinLatency time.Duration) {
 	if r.measured() >= 0 {
 		r.col.JoinLatency(joinLatency)
 	}
-	if r.tel != nil {
-		r.tel.Activated(n, joinLatency)
-	}
 	r.scheduleLookups(n)
-}
-
-// LookupIssued implements pastry.TraceObserver.
-func (o *runObserver) LookupIssued(n *pastry.Node, lk *pastry.Lookup) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.LookupIssued(n, lk)
-	}
-}
-
-// LookupHop implements pastry.TraceObserver.
-func (o *runObserver) LookupHop(n *pastry.Node, lk *pastry.Lookup, to pastry.NodeRef, cause pastry.HopCause) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.LookupHop(n, lk, to, cause)
-	}
-}
-
-// MessageSent implements pastry.StatsObserver.
-func (o *runObserver) MessageSent(n *pastry.Node, cat pastry.Category, retx bool) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.MessageSent(n, cat, retx)
-	}
-}
-
-// AckRTT implements pastry.StatsObserver.
-func (o *runObserver) AckRTT(n *pastry.Node, to pastry.NodeRef, rtt time.Duration) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.AckRTT(n, to, rtt)
-	}
-}
-
-// TrtTuned implements pastry.StatsObserver.
-func (o *runObserver) TrtTuned(n *pastry.Node, trt time.Duration) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.TrtTuned(n, trt)
-	}
-}
-
-// LeafSetRepair implements pastry.StatsObserver.
-func (o *runObserver) LeafSetRepair(n *pastry.Node, cause string) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.LeafSetRepair(n, cause)
-	}
-}
-
-// SecureVerdict implements pastry.SecureObserver.
-func (o *runObserver) SecureVerdict(n *pastry.Node, verdict string) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.SecureVerdict(n, verdict)
-	}
-}
-
-// SecureRedundant implements pastry.SecureObserver.
-func (o *runObserver) SecureRedundant(n *pastry.Node, fanout int) {
-	if r := (*run)(o); r.tel != nil {
-		r.tel.SecureRedundant(n, fanout)
-	}
 }
 
 // Delivered implements pastry.Observer: judge the delivery against the
 // ground-truth root and record RDP.
 func (o *runObserver) Delivered(n *pastry.Node, lk *pastry.Lookup) {
 	r := (*run)(o)
-	if r.tel != nil {
-		r.tel.Delivered(n, lk)
-	}
 	k := lookupKey{origin: lk.Origin.Addr, seq: lk.Seq}
 	out, ok := r.outstanding[k]
 	if !ok {
@@ -630,9 +568,6 @@ func (o *runObserver) Delivered(n *pastry.Node, lk *pastry.Lookup) {
 // LookupDropped implements pastry.Observer.
 func (o *runObserver) LookupDropped(n *pastry.Node, lk *pastry.Lookup, reason pastry.DropReason) {
 	r := (*run)(o)
-	if r.tel != nil {
-		r.tel.LookupDropped(n, lk, reason)
-	}
 	k := lookupKey{origin: lk.Origin.Addr, seq: lk.Seq}
 	out, ok := r.outstanding[k]
 	if !ok {

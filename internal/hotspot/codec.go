@@ -5,6 +5,7 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/store"
+	"mspastry/internal/wire/field"
 )
 
 // Wire kinds for the path-caching protocol. They live above 0x40 so
@@ -58,75 +59,52 @@ const (
 	flagFromCache byte = 1 << 1
 )
 
-// AppendGetVia encodes a KindGetVia request.
-func AppendGetVia(dst []byte, reqID uint64, vias []Via) []byte {
+// EncodeGetVia encodes a KindGetVia request.
+func EncodeGetVia(reqID uint64, vias []Via) []byte {
 	if len(vias) > MaxVia {
 		vias = vias[:MaxVia]
 	}
-	dst = append(dst, KindGetVia)
+	dst := append(make([]byte, 0, 12+len(vias)*40), KindGetVia)
 	dst = binary.AppendUvarint(dst, reqID)
 	dst = append(dst, byte(len(vias)))
 	for _, v := range vias {
-		dst = append(dst, v.ID.Bytes()...)
 		addr := v.Addr
 		if len(addr) > maxViaAddr {
 			addr = addr[:maxViaAddr]
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(addr)))
-		dst = append(dst, addr...)
+		dst = field.AppendString(field.AppendID(dst, v.ID), addr)
 	}
 	return dst
 }
 
-// EncodeGetVia allocates and encodes a KindGetVia request.
-func EncodeGetVia(reqID uint64, vias []Via) []byte {
-	return AppendGetVia(nil, reqID, vias)
-}
-
 // DecodeGetVia parses a KindGetVia payload.
 func DecodeGetVia(buf []byte) (reqID uint64, vias []Via, ok bool) {
-	if len(buf) < 3 || buf[0] != KindGetVia {
+	r := field.NewReader(buf)
+	if r.Byte() != KindGetVia {
 		return 0, nil, false
 	}
-	rest := buf[1:]
-	reqID, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, false
-	}
-	rest = rest[n:]
-	if len(rest) < 1 {
-		return 0, nil, false
-	}
-	count := int(rest[0])
-	rest = rest[1:]
+	reqID = r.Uvarint()
+	count := int(r.Byte())
 	if count > MaxVia {
 		return 0, nil, false
 	}
 	for i := 0; i < count; i++ {
-		if len(rest) < 16 {
+		v := Via{ID: r.ID()}
+		alen := r.Uvarint()
+		if alen > maxViaAddr {
 			return 0, nil, false
 		}
-		var v Via
-		v.ID = id.FromBytes(rest[:16])
-		rest = rest[16:]
-		alen, n := binary.Uvarint(rest)
-		if n <= 0 || alen > maxViaAddr || uint64(len(rest[n:])) < alen {
-			return 0, nil, false
-		}
-		rest = rest[n:]
-		v.Addr = string(rest[:alen])
-		rest = rest[alen:]
+		v.Addr = string(r.Take(int(alen)))
 		vias = append(vias, v)
 	}
-	if len(rest) != 0 {
+	if r.Done() != nil {
 		return 0, nil, false
 	}
 	return reqID, vias, true
 }
 
-// AppendCachedReply encodes a KindCachedReply.
-func AppendCachedReply(dst []byte, reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte) []byte {
-	dst = append(dst, KindCachedReply)
+// EncodeCachedReply encodes a KindCachedReply.
+func EncodeCachedReply(reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte) []byte {
 	var flags byte
 	if found {
 		flags |= flagFound
@@ -134,125 +112,73 @@ func AppendCachedReply(dst []byte, reqID uint64, found, fromCache bool, version,
 	if fromCache {
 		flags |= flagFromCache
 	}
-	dst = append(dst, flags)
+	dst := append(make([]byte, 0, 32+store.DigestLen+len(value)), KindCachedReply, flags)
 	dst = binary.AppendUvarint(dst, reqID)
 	dst = binary.AppendUvarint(dst, version)
 	dst = binary.AppendUvarint(dst, origin)
 	dst = append(dst, dig[:]...)
-	dst = append(dst, value...)
-	return dst
-}
-
-// EncodeCachedReply allocates and encodes a KindCachedReply.
-func EncodeCachedReply(reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte) []byte {
-	return AppendCachedReply(nil, reqID, found, fromCache, version, origin, dig, value)
+	return append(dst, value...)
 }
 
 // DecodeCachedReply parses a KindCachedReply payload. A not-found reply
 // must carry an empty value.
 func DecodeCachedReply(buf []byte) (reqID uint64, found, fromCache bool, version, origin uint64, dig store.Digest, value []byte, ok bool) {
-	if len(buf) < 2 || buf[0] != KindCachedReply {
+	r := field.NewReader(buf)
+	if r.Byte() != KindCachedReply {
 		return 0, false, false, 0, 0, store.Digest{}, nil, false
 	}
-	flags := buf[1]
-	if flags&^(flagFound|flagFromCache) != 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
+	flags := r.Byte()
+	reqID, version, origin = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	copy(dig[:], r.Take(store.DigestLen))
+	value = r.Rest()
 	found = flags&flagFound != 0
-	fromCache = flags&flagFromCache != 0
-	rest := buf[2:]
-	var n int
-	reqID, n = binary.Uvarint(rest)
-	if n <= 0 {
+	if r.Err() != nil || flags&^(flagFound|flagFromCache) != 0 || (!found && len(value) != 0) {
 		return 0, false, false, 0, 0, store.Digest{}, nil, false
 	}
-	rest = rest[n:]
-	version, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	rest = rest[n:]
-	origin, n = binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) < store.DigestLen {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	rest = rest[n:]
-	copy(dig[:], rest[:store.DigestLen])
-	value = rest[store.DigestLen:]
-	if !found && len(value) != 0 {
-		return 0, false, false, 0, 0, store.Digest{}, nil, false
-	}
-	return reqID, found, fromCache, version, origin, dig, value, true
+	return reqID, found, flags&flagFromCache != 0, version, origin, dig, value, true
 }
 
-// AppendDeposit encodes a KindDeposit carrying entry e.
-func AppendDeposit(dst []byte, e Entry) []byte {
-	dst = append(dst, KindDeposit)
-	dst = append(dst, e.Key.Bytes()...)
+// EncodeDeposit encodes a KindDeposit carrying entry e.
+func EncodeDeposit(e Entry) []byte {
+	dst := append(make([]byte, 0, 1+16+20+store.DigestLen+len(e.Value)), KindDeposit)
+	dst = field.AppendID(dst, e.Key)
 	dst = binary.AppendUvarint(dst, e.Version)
 	dst = binary.AppendUvarint(dst, e.Origin)
 	dst = append(dst, e.Dig[:]...)
-	dst = append(dst, e.Value...)
-	return dst
+	return append(dst, e.Value...)
 }
-
-// EncodeDeposit allocates and encodes a KindDeposit.
-func EncodeDeposit(e Entry) []byte { return AppendDeposit(nil, e) }
 
 // DecodeDeposit parses a KindDeposit payload. Version 0 is invalid: a
 // deposit always carries a root-assigned write.
 func DecodeDeposit(buf []byte) (Entry, bool) {
-	if len(buf) < 17 || buf[0] != KindDeposit {
+	r := field.NewReader(buf)
+	if r.Byte() != KindDeposit {
 		return Entry{}, false
 	}
-	var e Entry
-	e.Key = id.FromBytes(buf[1:17])
-	rest := buf[17:]
-	var n int
-	e.Version, n = binary.Uvarint(rest)
-	if n <= 0 || e.Version == 0 {
+	e := Entry{Key: r.ID(), Version: r.Uvarint(), Origin: r.Uvarint()}
+	copy(e.Dig[:], r.Take(store.DigestLen))
+	e.Value = r.Rest()
+	if r.Err() != nil || e.Version == 0 {
 		return Entry{}, false
 	}
-	rest = rest[n:]
-	e.Origin, n = binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) < store.DigestLen {
-		return Entry{}, false
-	}
-	rest = rest[n:]
-	copy(e.Dig[:], rest[:store.DigestLen])
-	e.Value = rest[store.DigestLen:]
 	return e, true
 }
 
-// AppendInvalidate encodes a KindInvalidate.
-func AppendInvalidate(dst []byte, key id.ID, version, origin uint64) []byte {
-	dst = append(dst, KindInvalidate)
-	dst = append(dst, key.Bytes()...)
-	dst = binary.AppendUvarint(dst, version)
-	dst = binary.AppendUvarint(dst, origin)
-	return dst
-}
-
-// EncodeInvalidate allocates and encodes a KindInvalidate.
+// EncodeInvalidate encodes a KindInvalidate.
 func EncodeInvalidate(key id.ID, version, origin uint64) []byte {
-	return AppendInvalidate(nil, key, version, origin)
+	dst := field.AppendID(append(make([]byte, 0, 1+16+20), KindInvalidate), key)
+	dst = binary.AppendUvarint(dst, version)
+	return binary.AppendUvarint(dst, origin)
 }
 
 // DecodeInvalidate parses a KindInvalidate payload.
 func DecodeInvalidate(buf []byte) (key id.ID, version, origin uint64, ok bool) {
-	if len(buf) < 19 || buf[0] != KindInvalidate {
+	r := field.NewReader(buf)
+	if r.Byte() != KindInvalidate {
 		return id.ID{}, 0, 0, false
 	}
-	key = id.FromBytes(buf[1:17])
-	rest := buf[17:]
-	var n int
-	version, n = binary.Uvarint(rest)
-	if n <= 0 {
-		return id.ID{}, 0, 0, false
-	}
-	rest = rest[n:]
-	origin, n = binary.Uvarint(rest)
-	if n <= 0 || len(rest[n:]) != 0 {
+	key, version, origin = r.ID(), r.Uvarint(), r.Uvarint()
+	if r.Done() != nil {
 		return id.ID{}, 0, 0, false
 	}
 	return key, version, origin, true

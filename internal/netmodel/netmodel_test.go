@@ -177,7 +177,7 @@ func TestChargedBytesMatchWireEncoder(t *testing.T) {
 	}
 	total := 0
 	for i, m := range msgs {
-		want := len(wire.EncodeSingle(m))
+		want := len(wire.AppendSingle(nil, pastry.AppendMessage(nil, m)))
 		if charged[i] != want {
 			t.Errorf("message %d (%T): charged %d bytes, wire encoder produces %d", i, m, charged[i], want)
 		}

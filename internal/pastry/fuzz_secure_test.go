@@ -27,7 +27,7 @@ func FuzzDecodeSecureMessage(f *testing.F) {
 			Payload: []byte("p")}},
 	}
 	for _, m := range seeds {
-		f.Add(EncodeMessage(m))
+		f.Add(AppendMessage(nil, m))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{20})

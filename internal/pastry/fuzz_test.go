@@ -23,7 +23,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		&AppDirect{From: from, Payload: []byte("payload")},
 	}
 	for _, m := range seeds {
-		f.Add(EncodeMessage(m))
+		f.Add(AppendMessage(nil, m))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00})

@@ -10,13 +10,14 @@ import (
 	"mspastry/internal/peer"
 )
 
-// benchNode builds a node with a realistic amount of routing state.
+// benchNode builds a node with a realistic amount of routing state. Its
+// sends are delivered with zero delay (to peers that do not exist), so
+// settle can drain them without moving the clock.
 func benchNode(b *testing.B, peers int) (*testNet, *Node, []NodeRef) {
 	b.Helper()
 	net := &testNet{
 		sim:   eventsim.New(1),
 		nodes: make(map[string]*Node),
-		delay: time.Millisecond,
 		sent:  make(map[Category]int),
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -37,6 +38,38 @@ func benchNode(b *testing.B, peers int) (*testNet, *Node, []NodeRef) {
 		n.ls.Add(ref)
 	}
 	return net, n, refs
+}
+
+// settleEvery is the number of iterations benchLoop runs between settles.
+const settleEvery = 1024
+
+// benchLoop runs body b.N times on a benchNode node. One untimed round of
+// settleEvery iterations first grows the event queue and the node's
+// tables to their working size; after that the node is settled every
+// settleEvery iterations outside the timed region: every hop still
+// awaiting an ack is acked and the deliveries due now run. B/op so does
+// not depend on b.N. The clock never moves, so no timer fires.
+func benchLoop(b *testing.B, net *testNet, n *Node, body func(i int)) {
+	settle := func() {
+		for xfer, ph := range n.pending {
+			n.Receive(&Ack{Xfer: xfer, From: ph.to})
+		}
+		net.sim.RunUntil(net.sim.Now())
+	}
+	for i := 0; i < settleEvery; i++ {
+		body(i)
+	}
+	settle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%settleEvery == 0 {
+			b.StopTimer()
+			settle()
+			b.StartTimer()
+		}
+		body(i)
+	}
 }
 
 // tickNode builds an active node in the shape the maintenance tick sees
@@ -121,7 +154,7 @@ func BenchmarkNodeNextHop(b *testing.B) {
 }
 
 func BenchmarkNodeReceiveLookupEnvelope(b *testing.B) {
-	_, n, refs := benchNode(b, 2000)
+	net, n, refs := benchNode(b, 2000)
 	rng := rand.New(rand.NewSource(3))
 	envs := make([]*Envelope, 256)
 	for i := range envs {
@@ -136,19 +169,17 @@ func BenchmarkNodeReceiveLookupEnvelope(b *testing.B) {
 			},
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchLoop(b, net, n, func(i int) {
 		e := envs[i%len(envs)]
 		lk := *e.Lookup
 		env := *e
 		env.Lookup = &lk
 		n.Receive(&env)
-	}
+	})
 }
 
 func BenchmarkNodeHandleLSProbe(b *testing.B) {
-	_, n, refs := benchNode(b, 64)
+	net, n, refs := benchNode(b, 64)
 	rng := rand.New(rand.NewSource(4))
 	probes := make([]*LSProbe, 64)
 	for i := range probes {
@@ -158,18 +189,14 @@ func BenchmarkNodeHandleLSProbe(b *testing.B) {
 		}
 		probes[i] = &LSProbe{From: refs[rng.Intn(len(refs))], Leaves: leaves}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Receive(probes[i%len(probes)])
-	}
+	benchLoop(b, net, n, func(i int) { n.Receive(probes[i%len(probes)]) })
 }
 
 // BenchmarkNodeHandleLSProbeNeedNear measures a leaf-set probe from a
 // repairing node: L leaves to filter, plus the reply's L+1 nearest known
 // nodes.
 func BenchmarkNodeHandleLSProbeNeedNear(b *testing.B) {
-	_, n, refs := benchNode(b, 64)
+	net, n, refs := benchNode(b, 64)
 	rng := rand.New(rand.NewSource(4))
 	probes := make([]*LSProbe, 64)
 	for i := range probes {
@@ -179,17 +206,13 @@ func BenchmarkNodeHandleLSProbeNeedNear(b *testing.B) {
 		}
 		probes[i] = &LSProbe{From: refs[rng.Intn(len(refs))], Leaves: leaves, NeedNear: true}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Receive(probes[i%len(probes)])
-	}
+	benchLoop(b, net, n, func(i int) { n.Receive(probes[i%len(probes)]) })
 }
 
 // BenchmarkNodeHandleLSProbeReply measures a probe reply to a repairing
 // node: L leaves and L+1 nearest known nodes to filter.
 func BenchmarkNodeHandleLSProbeReply(b *testing.B) {
-	_, n, refs := benchNode(b, 64)
+	net, n, refs := benchNode(b, 64)
 	rng := rand.New(rand.NewSource(9))
 	replies := make([]*LSProbeReply, 64)
 	pick := func(k int) []NodeRef {
@@ -206,11 +229,7 @@ func BenchmarkNodeHandleLSProbeReply(b *testing.B) {
 			Near:   pick(n.cfg.L + 1),
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Receive(replies[i%len(replies)])
-	}
+	benchLoop(b, net, n, func(i int) { n.Receive(replies[i%len(replies)]) })
 }
 
 func BenchmarkLeafSetAdd(b *testing.B) {

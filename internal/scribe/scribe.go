@@ -19,6 +19,7 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
+	"mspastry/internal/wire/field"
 )
 
 // Handler consumes multicast messages delivered to a local subscription.
@@ -291,57 +292,55 @@ const (
 )
 
 func encodeSubscribe(group id.ID, child pastry.NodeRef) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, kindSubscribe)
-	buf = append(buf, group.Bytes()...)
-	buf = append(buf, child.ID.Bytes()...)
-	buf = binary.AppendUvarint(buf, uint64(len(child.Addr)))
-	return append(buf, child.Addr...)
+	buf := field.AppendID(append(make([]byte, 0, 64), kindSubscribe), group)
+	return field.AppendString(field.AppendID(buf, child.ID), child.Addr)
 }
 
+// decodeSubscribe requires the child's address to end the payload.
 func decodeSubscribe(buf []byte) (group id.ID, child pastry.NodeRef, ok bool) {
-	if len(buf) < 1+16+16+1 || buf[0] != kindSubscribe {
+	r := field.NewReader(buf)
+	if r.Byte() != kindSubscribe {
 		return id.ID{}, pastry.NodeRef{}, false
 	}
-	group = id.FromBytes(buf[1:17])
-	child.ID = id.FromBytes(buf[17:33])
-	alen, n := binary.Uvarint(buf[33:])
-	if n <= 0 || int(alen) != len(buf)-33-n {
+	group, child.ID = r.ID(), r.ID()
+	child.Addr = string(r.Take(int(r.Uvarint())))
+	if r.Done() != nil {
 		return id.ID{}, pastry.NodeRef{}, false
 	}
-	child.Addr = string(buf[33+n:])
 	return group, child, true
 }
 
 func encodePublish(group id.ID, payload []byte) []byte {
-	buf := make([]byte, 0, 32+len(payload))
-	buf = append(buf, kindPublish)
-	buf = append(buf, group.Bytes()...)
+	buf := field.AppendID(append(make([]byte, 0, 32+len(payload)), kindPublish), group)
 	return append(buf, payload...)
 }
 
 func decodePublish(buf []byte) (group id.ID, payload []byte, ok bool) {
-	if len(buf) < 17 || buf[0] != kindPublish {
+	r := field.NewReader(buf)
+	if r.Byte() != kindPublish {
 		return id.ID{}, nil, false
 	}
-	return id.FromBytes(buf[1:17]), buf[17:], true
+	group, payload = r.ID(), r.Rest()
+	if r.Err() != nil {
+		return id.ID{}, nil, false
+	}
+	return group, payload, true
 }
 
 func encodeMulticast(group id.ID, nonce uint64, payload []byte) []byte {
-	buf := make([]byte, 0, 40+len(payload))
-	buf = append(buf, kindMulticast)
-	buf = append(buf, group.Bytes()...)
+	buf := field.AppendID(append(make([]byte, 0, 40+len(payload)), kindMulticast), group)
 	buf = binary.AppendUvarint(buf, nonce)
 	return append(buf, payload...)
 }
 
 func decodeMulticast(buf []byte) (group id.ID, nonce uint64, payload []byte, ok bool) {
-	if len(buf) < 18 || buf[0] != kindMulticast {
+	r := field.NewReader(buf)
+	if r.Byte() != kindMulticast {
 		return id.ID{}, 0, nil, false
 	}
-	v, n := binary.Uvarint(buf[17:])
-	if n <= 0 {
+	group, nonce, payload = r.ID(), r.Uvarint(), r.Rest()
+	if r.Err() != nil {
 		return id.ID{}, 0, nil, false
 	}
-	return id.FromBytes(buf[1:17]), v, buf[17+n:], true
+	return group, nonce, payload, true
 }

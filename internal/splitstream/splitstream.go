@@ -20,6 +20,7 @@ import (
 
 	"mspastry/internal/id"
 	"mspastry/internal/scribe"
+	"mspastry/internal/wire/field"
 )
 
 // Config sets the stripe count.
@@ -283,21 +284,12 @@ func encodeBlock(seq uint64, stripe, origLen int, block []byte) []byte {
 }
 
 func decodeBlock(buf []byte) (seq uint64, stripe, origLen int, block []byte, ok bool) {
-	s, n := binary.Uvarint(buf)
-	if n <= 0 {
+	r := field.NewReader(buf)
+	seq, st, ol := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if r.Err() != nil || st > 1<<16 || ol > 1<<24 {
 		return 0, 0, 0, nil, false
 	}
-	buf = buf[n:]
-	st, n := binary.Uvarint(buf)
-	if n <= 0 || st > 1<<16 {
-		return 0, 0, 0, nil, false
-	}
-	buf = buf[n:]
-	ol, n := binary.Uvarint(buf)
-	if n <= 0 || ol > 1<<24 {
-		return 0, 0, 0, nil, false
-	}
-	return s, int(st), int(ol), buf[n:], true
+	return seq, int(st), int(ol), r.Rest(), true
 }
 
 // String describes the channel.

@@ -17,6 +17,7 @@ import (
 	"mspastry/internal/hotspot"
 	"mspastry/internal/id"
 	"mspastry/internal/pastry"
+	"mspastry/internal/wire/field"
 )
 
 // Origin abstracts the origin web server: it produces the body for a URL.
@@ -230,14 +231,15 @@ func encodeRequest(reqID uint64, url string) []byte {
 }
 
 func decodeRequest(buf []byte) (reqID uint64, url string, ok bool) {
-	if len(buf) < 2 || buf[0] != kindRequest {
+	r := field.NewReader(buf)
+	if r.Byte() != kindRequest {
 		return 0, "", false
 	}
-	v, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
+	reqID = r.Uvarint()
+	if r.Err() != nil {
 		return 0, "", false
 	}
-	return v, string(buf[1+n:]), true
+	return reqID, string(r.Rest()), true
 }
 
 func encodeResponse(reqID uint64, body []byte, outcome Outcome) []byte {
@@ -248,15 +250,15 @@ func encodeResponse(reqID uint64, body []byte, outcome Outcome) []byte {
 }
 
 func decodeResponse(buf []byte) (reqID uint64, body []byte, outcome Outcome, ok bool) {
-	if len(buf) < 3 || buf[0] != kindResponse {
+	r := field.NewReader(buf)
+	if r.Byte() != kindResponse {
 		return 0, nil, 0, false
 	}
-	outcome = Outcome(buf[1])
-	v, n := binary.Uvarint(buf[2:])
-	if n <= 0 {
+	outcome, reqID, body = Outcome(r.Byte()), r.Uvarint(), r.Rest()
+	if r.Err() != nil {
 		return 0, nil, 0, false
 	}
-	return v, buf[2+n:], outcome, true
+	return reqID, body, outcome, true
 }
 
 // newBodyCache builds a proxy body cache on the shared hotspot cache:

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"time"
 
 	"mspastry/internal/pastry"
+	"mspastry/internal/wire/field"
 )
 
 // Flush is one assembled frame handed to Config.Emit. Frame is pooled
@@ -134,9 +136,9 @@ func (c *Coalescer) Send(key string, to pastry.NodeRef, m pastry.Message) (int, 
 		q.sizes = q.sizes[:0]
 		q.single = 0
 		q.oldest = c.cfg.Now()
-		q.firstPlen = uvarintLen(uint64(plen))
+		q.firstPlen = field.UvarintLen(uint64(plen))
 	}
-	*q.buf = appendUvarint(*q.buf, uint64(plen))
+	*q.buf = binary.AppendUvarint(*q.buf, uint64(plen))
 	*q.buf = append(*q.buf, payload...)
 	q.msgs = append(q.msgs, m)
 	q.sizes = append(q.sizes, plen)
@@ -160,14 +162,6 @@ func (c *Coalescer) Send(key string, to pastry.NodeRef, m pastry.Message) (int, 
 		})
 	}
 	return plen, nil
-}
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }
 
 // flush assembles the queue's frame and emits it. A batch of one is

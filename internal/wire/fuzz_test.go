@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"mspastry/internal/pastry"
@@ -12,11 +13,11 @@ import (
 // canonical: payloads extracted from an accepted frame re-frame into a
 // frame that yields the same payloads.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(EncodeSingle(hb(1)))
+	f.Add(single(hb(1)))
 	batch := []byte{Version, frameBatch}
 	for _, m := range []pastry.Message{hb(1), &pastry.Ack{Xfer: 9, From: ref(2)}} {
 		p := pastry.AppendMessage(nil, m)
-		batch = appendUvarint(batch, uint64(len(p)))
+		batch = binary.AppendUvarint(batch, uint64(len(p)))
 		batch = append(batch, p...)
 	}
 	f.Add(batch)
@@ -35,7 +36,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// encodings, so the frame image itself need not be identical).
 		reframed := []byte{Version, frameBatch}
 		for _, p := range payloads {
-			reframed = appendUvarint(reframed, uint64(len(p)))
+			reframed = binary.AppendUvarint(reframed, uint64(len(p)))
 			reframed = append(reframed, p...)
 		}
 		back, err := Payloads(reframed)

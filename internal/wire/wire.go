@@ -9,12 +9,12 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 
 	"mspastry/internal/pastry"
+	"mspastry/internal/wire/field"
 )
 
 // Version is the wire-format version carried in every frame header. A
@@ -69,28 +69,13 @@ func SingleSize(payloadLen int) int { return HeaderLen + payloadLen }
 
 // entrySize is the cost of one message inside a batch frame.
 func entrySize(payloadLen int) int {
-	return uvarintLen(uint64(payloadLen)) + payloadLen
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return field.UvarintLen(uint64(payloadLen)) + payloadLen
 }
 
 // AppendSingle wraps payload in a single-message frame.
 func AppendSingle(dst, payload []byte) []byte {
 	dst = append(dst, Version, frameSingle)
 	return append(dst, payload...)
-}
-
-// EncodeSingle is a convenience for tests and size accounting: one message
-// as it would travel alone on the wire.
-func EncodeSingle(m pastry.Message) []byte {
-	return AppendSingle(make([]byte, 0, 256), pastry.AppendMessage(nil, m))
 }
 
 // Payloads splits a frame into its message payloads without copying (the
@@ -114,17 +99,16 @@ func Payloads(frame []byte) ([][]byte, error) {
 		return [][]byte{body}, nil
 	case frameBatch:
 		var out [][]byte
-		for len(body) > 0 {
-			plen, n := binary.Uvarint(body)
-			if n <= 0 {
+		r := field.NewReader(body)
+		for r.Len() > 0 {
+			plen := r.Uvarint()
+			if r.Err() != nil {
 				return nil, errors.New("wire: bad batch entry length")
 			}
-			body = body[n:]
-			if plen == 0 || plen > uint64(len(body)) {
+			if plen == 0 || plen > uint64(r.Len()) {
 				return nil, fmt.Errorf("wire: batch entry of %d bytes overruns frame", plen)
 			}
-			out = append(out, body[:plen])
-			body = body[plen:]
+			out = append(out, r.Take(int(plen)))
 		}
 		if len(out) == 0 {
 			return nil, errors.New("wire: empty batch frame")

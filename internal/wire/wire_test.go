@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -16,6 +17,11 @@ func ref(n uint64) pastry.NodeRef {
 
 func hb(n uint64) pastry.Message {
 	return &pastry.Heartbeat{From: ref(n), TrtHint: 30 * time.Second}
+}
+
+// single frames one message as it travels alone on the wire.
+func single(m pastry.Message) []byte {
+	return AppendSingle(nil, pastry.AppendMessage(nil, m))
 }
 
 // testClock drives a coalescer without real time: After captures pending
@@ -73,7 +79,7 @@ func newTestCoalescer(window time.Duration, maxPacket, maxSingle int) (*Coalesce
 
 func TestSingleRoundTrip(t *testing.T) {
 	m := hb(7)
-	frame := EncodeSingle(m)
+	frame := single(m)
 	if len(frame) != SingleSize(len(pastry.AppendMessage(nil, m))) {
 		t.Fatalf("frame is %d bytes, want SingleSize", len(frame))
 	}
@@ -176,7 +182,7 @@ func TestOversizeSingleRejected(t *testing.T) {
 }
 
 // Window zero degenerates to one message per datagram: every send emits
-// immediately, and the frame is byte-identical to EncodeSingle.
+// immediately, and the frame is byte-identical to the message framed alone.
 func TestWindowZeroDegeneratesToSingles(t *testing.T) {
 	co, _, flushes := newTestCoalescer(0, 0, 0)
 	for i := uint64(1); i <= 3; i++ {
@@ -188,9 +194,9 @@ func TestWindowZeroDegeneratesToSingles(t *testing.T) {
 		t.Fatalf("%d flushes, want one per message", len(*flushes))
 	}
 	for i, f := range *flushes {
-		want := EncodeSingle(hb(uint64(i + 1)))
+		want := single(hb(uint64(i + 1)))
 		if !bytes.Equal(f.Frame, want) {
-			t.Fatalf("flush %d frame %x, want EncodeSingle %x", i, f.Frame, want)
+			t.Fatalf("flush %d frame %x, want single %x", i, f.Frame, want)
 		}
 		if f.SingleBytes != len(f.Frame) || f.Held != 0 {
 			t.Fatalf("flush %d: single=%d frame=%d held=%v", i, f.SingleBytes, len(f.Frame), f.Held)
@@ -282,7 +288,7 @@ func TestBatchDropsOnlyMalformedEntry(t *testing.T) {
 
 	frame := []byte{Version, frameBatch}
 	for _, p := range [][]byte{good1, junk, good2} {
-		frame = appendUvarint(frame, uint64(len(p)))
+		frame = binary.AppendUvarint(frame, uint64(len(p)))
 		frame = append(frame, p...)
 	}
 	msgs, sizes, bad, err := DecodeAll(frame)

@@ -16,11 +16,15 @@ count="${2:-5}"
   go test -run '^$' -bench '^BenchmarkScenario$' -benchtime 1x -count "$count" \
     ./internal/perfbench
   # Micro hot paths: routing, leaf-set probe handling, member
-  # enumeration, the maintenance tick, wire-size accounting, event
-  # scheduling, datagram delivery, metric observation, digit arithmetic.
+  # enumeration, the maintenance tick, wire-size accounting, message
+  # decoding, event scheduling, datagram delivery, metric observation,
+  # digit arithmetic.
   go test -run '^$' \
-    -bench '^(BenchmarkNodeNextHop|BenchmarkNodeReceiveLookupEnvelope|BenchmarkNodeHandleLSProbe|BenchmarkNodeHandleLSProbeNeedNear|BenchmarkNodeHandleLSProbeReply|BenchmarkLeafSetMembers|BenchmarkNodeTick|BenchmarkMessageWireSize)$' \
+    -bench '^(BenchmarkNodeNextHop|BenchmarkNodeReceiveLookupEnvelope|BenchmarkNodeHandleLSProbe|BenchmarkNodeHandleLSProbeNeedNear|BenchmarkNodeHandleLSProbeReply|BenchmarkLeafSetMembers|BenchmarkNodeTick|BenchmarkMessageWireSize|BenchmarkCodecDecodeLookupEnvelope)$' \
     -benchtime 100000x -count "$count" ./internal/pastry
+  # Live receive path: one batch frame of eight messages split and decoded.
+  go test -run '^$' -bench '^BenchmarkDecodeAllBatch8$' \
+    -benchtime 100000x -count "$count" ./internal/wire
   # Event core: one handle-free schedule plus one executed event, and one
   # datagram's trip through the network model.
   go test -run '^$' -bench '^BenchmarkSimulatorPostStep$' \
